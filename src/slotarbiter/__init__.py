@@ -25,7 +25,6 @@ from .kernel import (
     allocate_batch,
     bin_index,
     first_free_slot,
-    relax_mask,
 )
 from .oracle import (
     canonical_order,
@@ -40,7 +39,6 @@ from .workload import (
     TraceFormatError,
     WorkloadSpec,
     WorkloadStream,
-    gen_workload,
     mean_t_for_load,
     record_trace,
     replay_trace,
@@ -87,14 +85,12 @@ __all__ = [
     "bin_index",
     "canonical_order",
     "first_free_slot",
-    "gen_workload",
     "mean_t_for_load",
     "oracle_allocate",
     "oracle_replay",
     "paced_probe",
     "reconcile",
     "record_trace",
-    "relax_mask",
     "replay_trace",
     "run_deterministic",
     "run_paced",

@@ -40,7 +40,6 @@ def _build_config(args: argparse.Namespace) -> Config:
         cores=args.cores,
         lanes=args.lanes,
         sets=args.sets,
-        seed=args.seed,
         gap_bound=args.gap_bound,
         mailbox_depth=args.mailbox_depth,
         bin_capacity=args.bin_capacity,

@@ -1,9 +1,9 @@
 """Single-lane greedy allocation kernel.
 
-The kernel is the unit of work every architecture schedules: demands are
-coarse-sorted into LRU priority bins, gated by a relaxing AllowedMask, and
-matched against per-node availability bitmaps with an AND + find-first-set
-probe.  Two drain modes exist:
+The kernel is the unit of work each pipeline context schedules: demands are
+coarse-sorted into LRU priority bins and matched against per-node
+availability bitmaps with an AND + find-first-set probe.  Two drain modes
+exist:
 
 * PER_SLOT: a drained demand gets at most one timeslot, then parks in the
   extra bin of the slot it received.  Extra bins drain after the coarse bins
@@ -14,10 +14,10 @@ probe.  Two drain modes exist:
   batch width, and any survivor flows out immediately; it never re-enters
   this kernel's bins.
 
-Draining enabled coarse bins in ascending index order realizes the mask
-relaxation schedule: a bin is never drained before every higher-priority bin
-has been, which is exactly what stepping ``relax_mask`` to full over a tenure
-produces.
+Coarse bins drain in ascending index order, so a bin is never drained
+before every higher-priority bin has been.  ``allocate_slots`` is the
+batch-style claim of one demand on its own; the parallel lanes and the
+shuffle alloc stage call it directly over their own drain order.
 """
 
 from __future__ import annotations
@@ -51,48 +51,21 @@ def bin_index(last_alloc: int, current: int, num_bins: int = 32) -> int:
     return top - min(gap, top)
 
 
-def relax_mask(mask: int, steps_elapsed: int, tenure_steps: int, num_bins: int = 32) -> int:
-    """Relax an AllowedMask: enable bins 0..floor(steps * bins / tenure).
-
-    The result is always a superset of ``mask``, so the mask is monotone over
-    a kernel's tenure on a batch.
-    """
-    if steps_elapsed < 0:
-        raise ValueError("steps_elapsed must be >= 0")
-    top = min(num_bins - 1, steps_elapsed * num_bins // max(tenure_steps, 1))
-    return mask | ((1 << (top + 1)) - 1)
-
-
-def full_mask(num_bins: int = 32) -> int:
-    return (1 << num_bins) - 1
-
-
-def initial_mask() -> int:
-    """Fresh AllowedMask: only the top-priority bin is enabled."""
-    return 1
-
-
 class PriorityBins:
     """Coarse LRU bins plus the per-slot extra bins.
 
     Each live demand sits in exactly one bin queue; arrival order is kept
-    within a bin (stable sort overall).  ``capacity`` bounds each coarse bin,
-    None means unbounded.
+    within a bin (stable sort overall).
     """
 
-    def __init__(self, num_bins: int, batch_size: int, capacity: Optional[int] = None) -> None:
+    def __init__(self, num_bins: int, batch_size: int) -> None:
         self.num_bins = num_bins
-        self.capacity = capacity
         self.coarse: List[Deque[Demand]] = [deque() for _ in range(num_bins)]
         self.extra: List[Deque[Demand]] = [deque() for _ in range(batch_size)]
 
-    def insert(self, demand: Demand, current: int) -> bool:
-        """File one demand; False signals bin overflow (caller keeps it)."""
-        idx = bin_index(demand.last_alloc, current, self.num_bins)
-        if self.capacity is not None and len(self.coarse[idx]) >= self.capacity:
-            return False
-        self.coarse[idx].append(demand)
-        return True
+    def insert(self, demand: Demand, current: int) -> None:
+        """File one demand behind the others in its coarse bin."""
+        self.coarse[bin_index(demand.last_alloc, current, self.num_bins)].append(demand)
 
     def is_empty(self) -> bool:
         return not any(self.coarse) and not any(self.extra)
@@ -104,54 +77,26 @@ class PriorityBins:
             yield from q
 
 
-def sort_into_bins(demands: Iterable[Demand], current: int, bins: PriorityBins) -> List[Demand]:
-    """File demands FIFO into their bins; returns the ones refused for space."""
-    refused: List[Demand] = []
-    for d in demands:
-        if not bins.insert(d, current):
-            refused.append(d)
-    return refused
-
-
-@dataclass(slots=True)
-class AllocationRecord:
-    """Per-demand outcome of one sweep, kept for post-hoc cancellation.
-
-    ``residual`` is the surviving demand object (also present in the sweep's
-    outflow in BATCH mode, or parked in the extra bins in PER_SLOT mode), or
-    None when the demand was fully satisfied.
-    """
-
-    src: int
-    dst: int
-    offsets: List[int]
-    prev_last_alloc: int
-    residual: Optional[Demand]
-
-
 @dataclass
 class SweepResult:
     """What one drain sweep produced."""
 
     edges: List[Tuple[int, int, int]] = field(default_factory=list)
     outflow: List[Demand] = field(default_factory=list)
-    records: List[AllocationRecord] = field(default_factory=list)
     drained: int = 0
-    allocated_slots: int = 0
-    spent: int = 0
 
 
 def allocate_slots(
-    bitmaps: BatchBitmaps, demand: Demand, base_slot: int, limit: Optional[int] = None
+    bitmaps: BatchBitmaps, demand: Demand, base_slot: int
 ) -> Tuple[List[int], Optional[Demand]]:
     """Batch-style allocation of one demand against the bitmaps.
 
-    Claims the lowest joint-free offsets, up to the demand's remaining count
-    (and ``limit`` if given).  Returns the claimed offsets and the surviving
-    demand, or None if it was fully satisfied.
+    Claims the lowest joint-free offsets of the batch, up to the demand's
+    remaining count.  Returns the claimed offsets and the surviving demand,
+    or None if it was fully satisfied.
     """
     joint = bitmaps.joint_free(demand.src, demand.dst)
-    need = demand.remaining if limit is None else min(demand.remaining, limit)
+    need = demand.remaining
     offsets: List[int] = []
     while joint and need:
         offset = (joint & -joint).bit_length() - 1
@@ -169,14 +114,13 @@ def allocate_slots(
 
 def allocate_batch(
     bins: PriorityBins,
-    mask: int,
     bitmaps: BatchBitmaps,
     mode: AllocationMode,
     base_slot: int,
 ) -> SweepResult:
-    """Drain the mask-enabled bins greedily against the batch bitmaps.
+    """Drain every bin greedily against the batch bitmaps.
 
-    Coarse bins drain in ascending index order (the relaxation order); in
+    Coarse bins drain in ascending index order (highest priority first); in
     PER_SLOT mode the extra bins then drain in ascending slot order, letting
     a demand hop forward through them and collect further slots.  Demands
     that cannot be allocated flow out in drain order in BATCH mode; in
@@ -184,10 +128,7 @@ def allocate_batch(
     bin instead of flowing out.
     """
     result = SweepResult()
-    for idx in range(bins.num_bins):
-        if not (mask >> idx) & 1:
-            continue
-        queue = bins.coarse[idx]
+    for queue in bins.coarse:
         while queue:
             demand = queue.popleft()
             result.drained += 1
@@ -203,19 +144,13 @@ def allocate_batch(
 def _allocate_batch_style(
     bitmaps: BatchBitmaps, demand: Demand, base_slot: int, result: SweepResult
 ) -> None:
-    offsets, survivor = allocate_slots(bitmaps, demand, base_slot, bitmaps.batch_size)
+    offsets, survivor = allocate_slots(bitmaps, demand, base_slot)
     if not offsets:
         result.outflow.append(demand)
         return
     for offset in offsets:
         result.edges.append((offset, demand.src, demand.dst))
-    result.allocated_slots += len(offsets)
-    result.records.append(
-        AllocationRecord(demand.src, demand.dst, offsets, demand.last_alloc, survivor)
-    )
-    if survivor is None:
-        result.spent += 1
-    else:
+    if survivor is not None:
         result.outflow.append(survivor)
 
 
@@ -240,16 +175,9 @@ def _allocate_one_slot(
         return False
     bitmaps.claim(demand.src, demand.dst, offset)
     result.edges.append((offset, demand.src, demand.dst))
-    result.allocated_slots += 1
-    survivor: Optional[Demand] = None
     if demand.remaining > 1:
         survivor = Demand(demand.src, demand.dst, demand.remaining - 1, base_slot + offset)
         bins.extra[offset].append(survivor)
-    else:
-        result.spent += 1
-    result.records.append(
-        AllocationRecord(demand.src, demand.dst, [offset], demand.last_alloc, survivor)
-    )
     return True
 
 
@@ -287,41 +215,33 @@ class GreedyKernel:
         batch_size: int,
         num_bins: int = 32,
         mode: AllocationMode = AllocationMode.BATCH,
-        bin_capacity: Optional[int] = None,
     ) -> None:
         self.num_nodes = num_nodes
         self.batch_size = batch_size
         self.num_bins = num_bins
         self.mode = mode
-        self.bin_capacity = bin_capacity
         self.base_slot = 0
-        self.bins = PriorityBins(num_bins, batch_size, bin_capacity)
+        self.bins = PriorityBins(num_bins, batch_size)
         self.bitmaps = BatchBitmaps(num_nodes, batch_size)
         self.edges: List[Tuple[int, int, int]] = []
-        self.drained = 0
-        self.allocated_slots = 0
-        self.spent = 0
 
     def reset(self, base_slot: int) -> None:
         """Rebind to a fresh batch: new bitmaps, cleared admissions."""
-        assert self.bins.is_empty(), "kernel reset with live demands in bins"
+        if not self.bins.is_empty():
+            raise RuntimeError("kernel reset with live demands in bins")
         self.base_slot = base_slot
         self.bitmaps = BatchBitmaps(self.num_nodes, self.batch_size)
         self.edges = []
 
-    def ingest(self, demands: Iterable[Demand]) -> List[Demand]:
-        """File demands into the coarse bins; returns any refused for space."""
-        return sort_into_bins(demands, self.base_slot, self.bins)
+    def ingest(self, demands: Iterable[Demand]) -> None:
+        """File demands FIFO into the coarse bins."""
+        for demand in demands:
+            self.bins.insert(demand, self.base_slot)
 
     def sweep(self) -> SweepResult:
-        """Drain all bins (fully relaxed mask) against the current batch."""
-        result = allocate_batch(
-            self.bins, full_mask(self.num_bins), self.bitmaps, self.mode, self.base_slot
-        )
+        """Drain all bins against the current batch."""
+        result = allocate_batch(self.bins, self.bitmaps, self.mode, self.base_slot)
         self.edges.extend(result.edges)
-        self.drained += result.drained
-        self.allocated_slots += result.allocated_slots
-        self.spent += result.spent
         return result
 
     def finish(self) -> Tuple[AdmittedBatch, List[Demand]]:

@@ -180,7 +180,6 @@ class Config:
     cores: int = 1
     lanes: int = 1
     sets: int = 1
-    seed: int = 1
     gap_bound: int = 10_000
     mailbox_depth: int = 4096
     bin_capacity: int = 64
@@ -209,12 +208,3 @@ class Config:
     @property
     def slot_ns(self) -> int:
         return timeslot_duration(self.mtu_bytes, self.link_rate_bps)
-
-    @property
-    def lane_count(self) -> int:
-        """Worker-lane count for the selected architecture."""
-        if self.architecture is Architecture.PIPELINED:
-            return self.cores
-        if self.architecture is Architecture.PARALLEL:
-            return self.lanes
-        return self.sets

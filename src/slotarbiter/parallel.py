@@ -1,15 +1,19 @@
 """Parallel allocation: every lane works the same batch, then reconcile.
 
-Lanes hold private bitmaps and their own priority bins; incoming demands are
-spread round-robin over per-lane conduits and stay in their lane for life.
+Lanes hold private bitmaps and their own pending demands; incoming demands
+are spread round-robin over per-lane conduits and stay in their lane for
+life.  Each batch a lane visits its pending set in the system-wide LRU order
+(``canonical_order``) and claims slots for each demand with the kernel's
+``allocate_slots``.
 Because the bitmaps are private, two lanes can admit edges that contend on a
 source or destination; the reconciliation stage keeps the lowest-lane claim
 for every contended (slot, role, node) and cancels the rest.  Cancelled slots
 are restored to their demands, which re-enter the lane's pending set with the
 last-allocation key rolled back, so nothing is ever lost.
 
-All lanes advance to the next batch together: a barrier pair in the paced
-driver, plain loop order in the deterministic one.
+All lanes advance to the next batch together: in the paced driver they meet
+at one barrier whose action reconciles and emits the batch, in the
+deterministic one plain loop order does the same.
 """
 
 from __future__ import annotations
@@ -19,22 +23,30 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .conduits import SpscQueue
-from .kernel import AllocationRecord, GreedyKernel
-from .model import (
-    AdmittedBatch,
-    AllocationMode,
-    Config,
-    Demand,
-    Metrics,
-    RunResult,
-)
+from .kernel import allocate_slots
+from .model import AdmittedBatch, BatchBitmaps, Config, Demand, Metrics, RunResult
 from .oracle import canonical_order
-from .workload import Arrival
+from .workload import Arrival, ArrivalCursor
 
 BatchSink = Callable[[AdmittedBatch], None]
 
 Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
 CancelKey = Tuple[int, int, int, int]  # (lane_id, slot_offset, src, dst)
+
+
+@dataclass(slots=True)
+class AllocationRecord:
+    """Per-demand outcome of one lane's batch, kept for post-hoc cancellation.
+
+    ``residual`` is the surviving demand (what the lane would re-queue), or
+    None when the demand was fully satisfied.
+    """
+
+    src: int
+    dst: int
+    offsets: List[int]
+    prev_last_alloc: int
+    residual: Optional[Demand]
 
 
 @dataclass
@@ -130,19 +142,16 @@ def apply_cancellations(
 
 
 class Lane:
-    """One allocation lane: private kernel, private pending set.
+    """One allocation lane: private bitmaps, private pending set.
 
-    The lane defers its batch-mode survivors to ``absorb``: they are rebuilt
-    from the allocation records once reconciliation has decided which slots
-    actually stood, so a demand is never live twice.
+    The lane defers its survivors to ``absorb``: they are rebuilt from the
+    allocation records once reconciliation has decided which slots actually
+    stood, so a demand is never live twice.
     """
 
     def __init__(self, lane_id: int, cfg: Config) -> None:
         self.lane_id = lane_id
         self.cfg = cfg
-        self.kernel = GreedyKernel(
-            cfg.num_nodes, cfg.batch_size, cfg.num_priority_bins, AllocationMode.BATCH
-        )
         self.pending: List[Demand] = []
         self.last_records: List[AllocationRecord] = []
         self.allocated_slots = 0
@@ -150,17 +159,26 @@ class Lane:
         self.cancelled_slots = 0
 
     def allocate(self, base_slot: int, fresh: Sequence[Demand]) -> LaneAdmission:
+        """Greedy batch-style pass over the pending set in LRU order."""
         self.pending.extend(fresh)
-        self.kernel.reset(base_slot)
         ordered = canonical_order(self.pending, base_slot, self.cfg.num_priority_bins)
-        refused = self.kernel.ingest(ordered)
-        assert not refused, "lane bins are unbounded"
-        result = self.kernel.sweep()
-        self.drained += result.drained
-        survivors = {id(rec.residual) for rec in result.records if rec.residual is not None}
-        self.pending = [d for d in result.outflow if id(d) not in survivors]
-        self.last_records = result.records
-        return LaneAdmission(self.lane_id, base_slot, self.cfg.batch_size, result.edges, result.records)
+        bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
+        edges: List[Edge] = []
+        records: List[AllocationRecord] = []
+        unserved: List[Demand] = []
+        for demand in ordered:
+            offsets, residual = allocate_slots(bitmaps, demand, base_slot)
+            if not offsets:
+                unserved.append(demand)
+                continue
+            edges.extend((offset, demand.src, demand.dst) for offset in offsets)
+            records.append(
+                AllocationRecord(demand.src, demand.dst, offsets, demand.last_alloc, residual)
+            )
+        self.drained += len(ordered)
+        self.pending = unserved
+        self.last_records = records
+        return LaneAdmission(self.lane_id, base_slot, self.cfg.batch_size, edges, records)
 
     def absorb(self, cancelled_edges: Set[CancelKey], base_slot: int) -> List[Tuple[Demand, int]]:
         requeue, cancelled_pairs, revoked, kept = apply_cancellations(
@@ -173,7 +191,7 @@ class Lane:
         return cancelled_pairs
 
     def pending_slots(self) -> int:
-        return sum(d.remaining for d in self.pending) + self.kernel.pending_slots()
+        return sum(d.remaining for d in self.pending)
 
 
 def run_parallel_deterministic(
@@ -188,25 +206,20 @@ def run_parallel_deterministic(
     collect = sink is None
     emit = batches.append if collect else sink
 
-    ordered = sorted(range(len(arrivals)), key=lambda i: arrivals[i].arrival_ns)
-    cursor = 0
+    cursor = ArrivalCursor(arrivals)
     rr = 0
     metrics = Metrics()
     slot_ns = cfg.slot_ns
     base = 1
 
     for _ in range(max_batches):
-        release_ns = (base - 1) * slot_ns
         fresh: List[List[Demand]] = [[] for _ in lanes]
-        while cursor < len(ordered) and arrivals[ordered[cursor]].arrival_ns <= release_ns:
-            a = arrivals[ordered[cursor]]
-            demand = Demand(a.src, a.dst, a.size)
+        for demand in cursor.release((base - 1) * slot_ns):
             fresh[rr % len(lanes)].append(demand)
             rr += 1
             metrics.demanded_slots += demand.remaining
-            cursor += 1
         # nothing is ever dropped, so live work is exactly the running gap
-        if metrics.demanded_slots == metrics.allocated_slots and cursor >= len(ordered):
+        if metrics.demanded_slots == metrics.allocated_slots and cursor.exhausted:
             break
 
         fragments = [lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)]
@@ -251,42 +264,19 @@ class _ParallelLaneThread(threading.Thread):
                 fresh.append(demand)
             fragment = lane.allocate(m.base_slot, fresh)
             m.fragments[lane.lane_id] = fragment
-            if not m.wait(m.submit_barrier):
-                break
-            # reconciler runs between the two barriers
-            if not m.wait(m.resume_barrier):
+            try:
+                m.barrier.wait()  # the last lane to arrive runs _reconcile
+            except threading.BrokenBarrierError:
                 break
             lane.absorb(m.last_cancelled, fragment.base_slot)
 
 
-class _ReconcilerThread(threading.Thread):
-    def __init__(self, machine: "ParallelMachine") -> None:
-        super().__init__(name="par-reconcile", daemon=True)
-        self.machine = machine
-
-    def run(self) -> None:
-        m = self.machine
-        while not m.stop_event.is_set():
-            if not m.wait(m.submit_barrier):
-                break
-            result = reconcile([f for f in m.fragments if f is not None])
-            m.last_cancelled = result.cancelled_edges
-            with m.sink_lock:
-                m.sink(result.final)
-            m.emitted_batches += 1
-            m.emitted_slots += len(result.final.edges)
-            m.base_slot += m.cfg.batch_size
-            if not m.wait(m.resume_barrier):
-                break
-
-
 class ParallelMachine:
-    """Paced parallel driver: lane threads plus one reconciliation thread."""
+    """Paced parallel driver: lane threads meeting at a reconciling barrier."""
 
     def __init__(self, cfg: Config, sink: BatchSink) -> None:
         self.cfg = cfg
         self.sink = sink
-        self.sink_lock = threading.Lock()
         self.stop_event = threading.Event()
         self.conduits = [SpscQueue(cfg.mailbox_depth) for _ in range(cfg.lanes)]
         self.lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
@@ -294,23 +284,17 @@ class ParallelMachine:
         self.last_cancelled: Set[CancelKey] = set()
         self.base_slot = 1
         self.emitted_batches = 0
-        self.emitted_slots = 0
-        parties = cfg.lanes + 1
-        self.submit_barrier = threading.Barrier(parties)
-        self.resume_barrier = threading.Barrier(parties)
-        self.threads: List[threading.Thread] = [
-            _ParallelLaneThread(lane, self) for lane in self.lanes
-        ]
-        self.threads.append(_ReconcilerThread(self))
+        self.barrier = threading.Barrier(cfg.lanes, action=self._reconcile)
+        self.threads = [_ParallelLaneThread(lane, self) for lane in self.lanes]
         self._rr = 0
 
-    def wait(self, barrier: threading.Barrier) -> bool:
-        """Barrier wait that honours shutdown; False means stop now."""
-        try:
-            barrier.wait()
-            return True
-        except threading.BrokenBarrierError:
-            return False
+    def _reconcile(self) -> None:
+        """Barrier action: runs once per batch, while every lane waits."""
+        result = reconcile(self.fragments)
+        self.last_cancelled = result.cancelled_edges
+        self.sink(result.final)
+        self.emitted_batches += 1
+        self.base_slot += self.cfg.batch_size
 
     def push(self, demand: Demand) -> bool:
         ok = self.conduits[self._rr % self.cfg.lanes].try_put(demand)
@@ -327,8 +311,7 @@ class ParallelMachine:
 
     def stop_and_join(self) -> None:
         self.stop_event.set()
-        self.submit_barrier.abort()
-        self.resume_barrier.abort()
+        self.barrier.abort()
         for t in self.threads:
             t.join()
 

@@ -31,7 +31,7 @@ from .model import (
     RunResult,
     throughput_bps,
 )
-from .workload import Arrival
+from .workload import Arrival, ArrivalCursor
 
 BatchSink = Callable[[AdmittedBatch], None]
 
@@ -46,10 +46,6 @@ _FORWARD_HIGH_WATER = 4096
 #: Ceiling on unallocated slots circulating inside the ring.  Ingestion
 #: pauses above it, so overload backs up into QHead instead of RAM.
 _INFLIGHT_SLOT_LIMIT = 262_144
-
-
-def _as_demand(arrival: Arrival) -> Demand:
-    return Demand(arrival.src, arrival.dst, arrival.size)
 
 
 @dataclass
@@ -90,8 +86,7 @@ def run_pipeline_deterministic(
     emit = batches.append if collect else sink
 
     qhead: Deque[Demand] = deque()
-    ordered = sorted(range(len(arrivals)), key=lambda i: arrivals[i].arrival_ns)
-    cursor = 0
+    cursor = ArrivalCursor(arrivals)
     ingest_pos = num_ctx // 2 if cfg.mid_pipeline_ingest else 0
 
     metrics = Metrics()
@@ -101,13 +96,10 @@ def run_pipeline_deterministic(
     pos_drained = [0] * num_ctx
 
     for _ in range(max_steps):
-        release_ns = (contexts[head].base_slot - 1) * slot_ns
-        while cursor < len(ordered) and arrivals[ordered[cursor]].arrival_ns <= release_ns:
-            demand = _as_demand(arrivals[ordered[cursor]])
+        for demand in cursor.release((contexts[head].base_slot - 1) * slot_ns):
             qhead.append(demand)
             metrics.demanded_slots += demand.remaining
             live_slots += demand.remaining
-            cursor += 1
 
         for pos in range(num_ctx):
             ctx = contexts[(head + pos) % num_ctx]
@@ -118,11 +110,10 @@ def run_pipeline_deterministic(
                 while qhead:
                     feed.append(qhead.popleft())
             if feed or not ctx.kernel.bins.is_empty():
-                refused = ctx.kernel.ingest(feed)
-                assert not refused, "pipeline bins are unbounded"
+                ctx.kernel.ingest(feed)
                 result = ctx.kernel.sweep()
                 pos_drained[pos] += result.drained
-                live_slots -= result.allocated_slots
+                live_slots -= len(result.edges)
                 nxt = contexts[((head + pos) % num_ctx + 1) % num_ctx]
                 tag = ctx.base_slot + batch
                 for demand in result.outflow:
@@ -141,7 +132,7 @@ def run_pipeline_deterministic(
         next_base += batch
         head = (head + 1) % num_ctx
 
-        if live_slots == 0 and cursor >= len(ordered):
+        if live_slots == 0 and cursor.exhausted:
             break
 
     # flush the batches still riding the ring, oldest first
@@ -267,7 +258,7 @@ class _ContextLane(threading.Thread):
                 self.kernel.ingest(feed)
                 result = self.kernel.sweep()
                 self.drained += result.drained
-                self.allocated_slots += result.allocated_slots
+                self.allocated_slots += len(result.edges)
                 self._forward(result.outflow, self.base_slot + cfg.batch_size)
                 worked = True
             if self.shared.head_idx == self.idx:

@@ -18,6 +18,7 @@ consecutive batches are worked concurrently and emitted in slot order.
 from __future__ import annotations
 
 import heapq
+import sys
 import threading
 import time
 from collections import deque
@@ -28,6 +29,7 @@ from .conduits import Mailbox, SpscQueue
 from .kernel import allocate_slots, bin_index
 from .model import (
     AdmittedBatch,
+    Architecture,
     BatchBitmaps,
     Config,
     Demand,
@@ -35,7 +37,7 @@ from .model import (
     RunResult,
 )
 from .permutation import PermutationSpec
-from .workload import Arrival
+from .workload import Arrival, ArrivalCursor
 
 BatchSink = Callable[[AdmittedBatch], None]
 
@@ -49,6 +51,7 @@ class Bin:
     origin: int
     round_index: int = 0
     capacity: int = 64
+    sent_ns: int = 0  # monotonic stamp of the latest send to an alloc set
     entries: List[Demand] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
     completed: List[Tuple[int, int, int]] = field(default_factory=list)  # (src, dst, last_alloc)
@@ -149,7 +152,7 @@ def alloc_process(bin_: Bin, bitmaps: BatchBitmaps, base_slot: int) -> None:
     The entries themselves are left untouched.
     """
     for idx, entry in enumerate(bin_.entries):
-        offsets, _ = allocate_slots(bitmaps, entry, base_slot, bitmaps.batch_size)
+        offsets, _ = allocate_slots(bitmaps, entry, base_slot)
         bits = 0
         for offset in offsets:
             bits |= 1 << offset
@@ -207,6 +210,14 @@ def _shard_ranges(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
     ]
 
 
+def _check_origin(origin: int, bin_: Bin) -> None:
+    if origin != bin_.origin:
+        raise RuntimeError(
+            f"inverse distributor sent shard {bin_.origin}'s bin of round "
+            f"{bin_.round_index} to shard {origin}"
+        )
+
+
 def run_shuffle_deterministic(
     cfg: Config,
     arrivals: Sequence[Arrival],
@@ -227,8 +238,7 @@ def run_shuffle_deterministic(
     collect = sink is None
     emit = batches.append if collect else sink
 
-    ordered = sorted(range(len(arrivals)), key=lambda i: arrivals[i].arrival_ns)
-    cursor = 0
+    cursor = ArrivalCursor(arrivals)
     metrics = Metrics()
     slot_ns = cfg.slot_ns
 
@@ -236,14 +246,10 @@ def run_shuffle_deterministic(
         return 1 + (round_index * num_sets + set_id) * batch
 
     for round_index in range(max_rounds):
-        release_ns = (base_for(0, round_index) - 1) * slot_ns
-        while cursor < len(ordered) and arrivals[ordered[cursor]].arrival_ns <= release_ns:
-            a = arrivals[ordered[cursor]]
-            demand = Demand(a.src, a.dst, a.size)
-            shards[shard_for_src(a.src, cfg.num_nodes, num_sets)].ingest(demand)
+        for demand in cursor.release((base_for(0, round_index) - 1) * slot_ns):
+            shards[shard_for_src(demand.src, cfg.num_nodes, num_sets)].ingest(demand)
             metrics.demanded_slots += demand.remaining
-            cursor += 1
-        if metrics.demanded_slots == metrics.allocated_slots and cursor >= len(ordered):
+        if metrics.demanded_slots == metrics.allocated_slots and cursor.exhausted:
             break
 
         routed: Dict[int, Bin] = {}
@@ -262,7 +268,7 @@ def run_shuffle_deterministic(
             emit(AdmittedBatch(base, batch, tuple(edges)))
             metrics.allocated_slots += len(edges)
             origin = perm.invert(set_id, round_index)
-            assert origin == bin_.origin, "inverse distributor must return to origin"
+            _check_origin(origin, bin_)
             shards[origin].absorb_return(bin_)
 
     metrics.pending_slots = sum(shard.pending_slots() for shard in shards)
@@ -318,6 +324,7 @@ class _BacklogLane(threading.Thread):
         self.outstanding: Deque[int] = deque()  # target set per sent round, FIFO
         self.round_index = 0
         self.sent_bins = 0
+        self.latencies: List[int] = []  # ns from send to return, per circulation
 
     def _absorb_one(self, block: bool) -> bool:
         if not self.outstanding:
@@ -327,6 +334,7 @@ class _BacklogLane(threading.Thread):
         bin_ = mailbox.take(timeout=0.01) if block else mailbox.try_take()
         if bin_ is None:
             return False
+        self.latencies.append(time.monotonic_ns() - bin_.sent_ns)
         self.outstanding.popleft()
         self.shard.absorb_return(bin_)
         self.pool.append(bin_)
@@ -335,32 +343,30 @@ class _BacklogLane(threading.Thread):
     def run(self) -> None:
         m = self.m
         conduit = m.ingest_conduits[self.shard.shard_id]
-        try:
-            while not m.stop_event.is_set():
-                while len(self.shard.staging) < _STAGING_HIGH_WATER:
-                    demand = conduit.try_take()
-                    if demand is None:
-                        break
-                    self.shard.ingest(demand)
-                while self._absorb_one(block=False):
-                    pass
-                if not self.pool:
-                    self._absorb_one(block=True)
-                    continue
-                bin_ = self.pool.popleft()
-                bin_.round_index = self.round_index
-                target = m.perm.permute(self.shard.shard_id, self.round_index)
-                self.shard.fill_bin(bin_, m.base_for(target, self.round_index))
-                mailbox = m.dist_grid[self.shard.shard_id][target]
-                while not mailbox.put(bin_, timeout=0.01):
-                    if m.stop_event.is_set():
-                        self.pool.appendleft(bin_)
-                        return
-                self.outstanding.append(target)
-                self.round_index += 1
-                self.sent_bins += 1
-        finally:
-            pass  # pool, outstanding and shard state are walked after join
+        while not m.stop_event.is_set():
+            while len(self.shard.staging) < _STAGING_HIGH_WATER:
+                demand = conduit.try_take()
+                if demand is None:
+                    break
+                self.shard.ingest(demand)
+            while self._absorb_one(block=False):
+                pass
+            if not self.pool:
+                self._absorb_one(block=True)
+                continue
+            bin_ = self.pool.popleft()
+            bin_.round_index = self.round_index
+            target = m.perm.permute(self.shard.shard_id, self.round_index)
+            self.shard.fill_bin(bin_, m.base_for(target, self.round_index))
+            mailbox = m.dist_grid[self.shard.shard_id][target]
+            bin_.sent_ns = time.monotonic_ns()
+            while not mailbox.put(bin_, timeout=0.01):
+                if m.stop_event.is_set():
+                    self.pool.appendleft(bin_)
+                    return
+            self.outstanding.append(target)
+            self.round_index += 1
+            self.sent_bins += 1
 
 
 class _AllocLane(threading.Thread):
@@ -412,7 +418,7 @@ class _PostallocLane(threading.Thread):
                 AdmittedBatch(base, m.cfg.batch_size, tuple(edges)),
             )
             origin = m.perm.invert(self.set_id, self.round_index)
-            assert origin == bin_.origin
+            _check_origin(origin, bin_)
             while not m.inv_grid[self.set_id][origin].put(bin_, timeout=0.01):
                 if m.stop_event.is_set():
                     m.stash_orphan(bin_)
@@ -501,6 +507,11 @@ class ShuffleMachine:
 # ---------------------------------------------------------------------------
 
 
+#: Slots each standing-backlog demand asks for: more than any bench serves,
+#: so every pair stays live and every returned bin restages full.
+_STANDING_DEMAND = 1 << 40
+
+
 def bench_distributor(
     num_sets: int,
     circulations: int = 1000,
@@ -510,97 +521,45 @@ def bench_distributor(
 ) -> Dict[str, float]:
     """Measure bin circulation latency through backlog -> alloc -> postalloc.
 
-    Stand-in lanes circulate stamped bins through the same mailbox grid the
-    real architecture uses, and the alloc/postalloc stand-ins run the real
-    per-bin functions so each hop carries a realistic amount of work rather
-    than a bare pointer bounce.  Returns latency stats in microseconds.
+    Runs a real ShuffleMachine with one bin per set.  A standing backlog of
+    ``entries_per_bin`` distinct pairs per shard keeps every bin full, and
+    each backlog lane records the send-to-return time of its bin.  The first
+    ``circulations`` samples of every set make up the returned latency stats,
+    in microseconds.
 
     The interpreter's thread switch interval is dropped for the duration of
     the bench: the default 5 ms quantum would swamp the handoffs being
     measured.
     """
-    import sys
-
-    perm = PermutationSpec(num_sets)
-    dist = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
-    inv = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
-    to_post = [Mailbox() for _ in range(num_sets)]
-    stop = threading.Event()
-    latencies: List[List[int]] = [[] for _ in range(num_sets)]
-    stamps: List[Dict[int, int]] = [dict() for _ in range(num_sets)]
-
-    def fill_entries(shard: int) -> List[Demand]:
-        lo = shard * num_nodes // num_sets
-        span = max(num_nodes // num_sets, 2)
-        return [
-            Demand(lo + (i % span), (lo + (i % span) + 1 + i) % num_nodes, 4)
-            for i in range(entries_per_bin)
-            if lo + (i % span) != (lo + (i % span) + 1 + i) % num_nodes
-        ]
-
-    def backlog(shard: int) -> None:
-        bin_ = Bin(origin=shard, capacity=entries_per_bin)
-        for round_index in range(circulations):
-            if stop.is_set():
-                return
-            target = perm.permute(shard, round_index)
-            bin_.round_index = round_index
-            bin_.entries = fill_entries(shard)
-            bin_.result_bits = [0] * len(bin_.entries)
-            stamps[shard][round_index] = time.monotonic_ns()
-            if not dist[shard][target].put(bin_, timeout=2.0):
-                return
-            back = inv[target][shard].take(timeout=2.0)
-            if back is None:
-                return
-            latencies[shard].append(
-                time.monotonic_ns() - stamps[shard].pop(back.round_index)
-            )
-            back.clear()
-            bin_ = back
-
-    def alloc(set_id: int) -> None:
-        for round_index in range(circulations):
-            if stop.is_set():
-                return
-            src = perm.invert(set_id, round_index)
-            bin_ = dist[src][set_id].take(timeout=2.0)
-            if bin_ is None:
-                return
-            bitmaps = BatchBitmaps(num_nodes, batch_size)
-            alloc_process(bin_, bitmaps, 1 + round_index * batch_size)
-            if not to_post[set_id].put(bin_, timeout=2.0):
-                return
-
-    def postalloc(set_id: int) -> None:
-        for round_index in range(circulations):
-            if stop.is_set():
-                return
-            bin_ = to_post[set_id].take(timeout=2.0)
-            if bin_ is None:
-                return
-            postalloc_process(bin_, 1 + round_index * batch_size)
-            origin = perm.invert(set_id, round_index)
-            if not inv[set_id][origin].put(bin_, timeout=2.0):
-                return
-
-    threads = (
-        [threading.Thread(target=backlog, args=(x,), daemon=True) for x in range(num_sets)]
-        + [threading.Thread(target=alloc, args=(s,), daemon=True) for s in range(num_sets)]
-        + [threading.Thread(target=postalloc, args=(s,), daemon=True) for s in range(num_sets)]
+    cfg = Config(
+        num_nodes,
+        architecture=Architecture.SHUFFLE,
+        batch_size=batch_size,
+        sets=num_sets,
+        bins_per_set=1,
+        bin_capacity=entries_per_bin,
     )
+    machine = ShuffleMachine(cfg, lambda batch: None)
+    for shard in machine.shards:
+        width = shard.src_hi - shard.src_lo
+        for i in range(entries_per_bin):
+            src = shard.src_lo + i % width
+            shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
+    lanes = machine.backlog_lanes
+    threads = lanes + machine.alloc_lanes + machine.postalloc_lanes
     prev_interval = sys.getswitchinterval()
     sys.setswitchinterval(0.0002)
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        stop.set()
+        machine.start()
+        while any(len(lane.latencies) < circulations for lane in lanes):
+            if not all(t.is_alive() for t in threads):
+                raise RuntimeError("a distributor bench lane stopped early")
+            time.sleep(0.001)
     finally:
+        machine.stop_and_join()
         sys.setswitchinterval(prev_interval)
 
-    flat = sorted(lat for per_shard in latencies for lat in per_shard)
+    flat = sorted(lat for lane in lanes for lat in lane.latencies[:circulations])
     if not flat:
         raise RuntimeError("distributor bench produced no samples")
     mean_ns = sum(flat) / len(flat)

@@ -15,6 +15,8 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .model import Demand
+
 TRACE_HEADER = ["arrival_ns", "src", "dst", "size_packets"]
 
 _BLOCK = 4096
@@ -115,8 +117,30 @@ class WorkloadStream:
             yield self.next_arrival()
 
 
-def gen_workload(spec: WorkloadSpec) -> WorkloadStream:
-    return WorkloadStream(spec)
+class ArrivalCursor:
+    """Releases a trace's arrivals as demands, in arrival-time order.
+
+    The sort is stable, so arrivals stamped with the same time keep their
+    trace order.
+    """
+
+    def __init__(self, arrivals: Sequence[Arrival]) -> None:
+        self._ordered = sorted(arrivals, key=lambda a: a.arrival_ns)
+        self._pos = 0
+
+    def release(self, until_ns: int) -> List[Demand]:
+        """Every not yet released arrival due at or before ``until_ns``."""
+        released: List[Demand] = []
+        ordered = self._ordered
+        while self._pos < len(ordered) and ordered[self._pos].arrival_ns <= until_ns:
+            a = ordered[self._pos]
+            released.append(Demand(a.src, a.dst, a.size))
+            self._pos += 1
+        return released
+
+    @property
+    def exhausted(self) -> bool:
+        return self._pos >= len(self._ordered)
 
 
 def shard_spec(spec: WorkloadSpec, shard: int, num_shards: int) -> WorkloadSpec:

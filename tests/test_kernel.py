@@ -1,4 +1,4 @@
-"""Allocation kernel: bins, mask, bitmap matching, both drain modes."""
+"""Allocation kernel: bins, bitmap matching, both drain modes."""
 
 import numpy as np
 import pytest
@@ -13,9 +13,7 @@ from slotarbiter import (
     bin_index,
     first_free_slot,
     oracle_allocate,
-    relax_mask,
 )
-from slotarbiter.kernel import full_mask, initial_mask, sort_into_bins
 
 
 class TestFirstFreeSlot:
@@ -54,51 +52,29 @@ class TestBinIndex:
             bin_index(5, 4)
 
 
-class TestRelaxMask:
-    def test_start_of_tenure_top_bin_only(self):
-        assert relax_mask(initial_mask(), 0, tenure_steps=32) == initial_mask() == 1
-
-    def test_end_of_tenure_all_bins(self):
-        assert relax_mask(1, 32, tenure_steps=32) == full_mask(32)
-
-    def test_monotone_superset(self):
-        mask = 1
-        for step in range(33):
-            new = relax_mask(mask, step, tenure_steps=32)
-            assert new & mask == mask
-            mask = new
-        assert mask == full_mask(32)
-
-
 class TestSortIntoBins:
     def test_gap_order(self):
         bins = PriorityBins(32, 8)
         starved = Demand(1, 2, 5, last_alloc=0)
         recent = Demand(3, 4, 5, last_alloc=40)
-        refused = sort_into_bins([starved, recent], current=40, bins=bins)
-        assert refused == []
+        for d in (starved, recent):
+            bins.insert(d, current=40)
         assert starved in bins.coarse[0]
         assert recent in bins.coarse[31]
 
     def test_empty_input_no_change(self):
-        bins = PriorityBins(32, 8)
-        sort_into_bins([], current=1, bins=bins)
-        assert bins.is_empty()
+        kernel = GreedyKernel(4, 8)
+        kernel.ingest([])
+        assert kernel.bins.is_empty()
 
     def test_fifo_within_bin(self):
         bins = PriorityBins(32, 8)
         a = Demand(1, 2, 5)
         b = Demand(3, 4, 5)
-        sort_into_bins([a, b], current=1, bins=bins)
+        for d in (a, b):
+            bins.insert(d, current=1)
         idx = bin_index(0, 1)
         assert list(bins.coarse[idx]) == [a, b]
-
-    def test_capacity_backpressure(self):
-        bins = PriorityBins(32, 8, capacity=1)
-        a = Demand(1, 2, 5)
-        b = Demand(3, 4, 5)
-        refused = sort_into_bins([a, b], current=1, bins=bins)
-        assert refused == [b]
 
 
 def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):
@@ -106,7 +82,7 @@ def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):
     for d in demands:
         bins.insert(d, base_slot)
     bitmaps = BatchBitmaps(num_nodes, batch_size)
-    return allocate_batch(bins, full_mask(32), bitmaps, mode, base_slot), bins
+    return allocate_batch(bins, bitmaps, mode, base_slot), bins
 
 
 class TestAllocateBatch:
@@ -137,21 +113,6 @@ class TestAllocateBatch:
     def test_empty_bins(self):
         result, _ = _sweep([], 8, AllocationMode.BATCH)
         assert result.edges == [] and result.outflow == []
-
-    def test_partial_mask_gates_low_priority_bins(self):
-        bins = PriorityBins(32, 8)
-        starved = Demand(1, 2, 1, last_alloc=0)
-        recent = Demand(3, 4, 1, last_alloc=100)
-        for d in (starved, recent):
-            bins.insert(d, current=100)
-        bitmaps = BatchBitmaps(8, 8)
-        result = allocate_batch(bins, initial_mask(), bitmaps, AllocationMode.BATCH, 100)
-        # only the top-priority bin was enabled; the recent demand stays put
-        assert [(s, d) for _, s, d in result.edges] == [(1, 2)]
-        assert recent in bins.coarse[31]
-        relaxed = relax_mask(initial_mask(), 32, tenure_steps=32)
-        result = allocate_batch(bins, relaxed, bitmaps, AllocationMode.BATCH, 100)
-        assert [(s, d) for _, s, d in result.edges] == [(3, 4)]
 
     def test_per_slot_parks_in_extra_bin(self):
         result, bins = _sweep([Demand(1, 2, 100)], 8, AllocationMode.PER_SLOT)

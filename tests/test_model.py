@@ -12,7 +12,6 @@ from slotarbiter import (
     throughput_bps,
     timeslot_duration,
 )
-from slotarbiter.model import Architecture
 
 
 class TestTimeslotDuration:
@@ -88,11 +87,6 @@ class TestConfig:
     def test_too_few_nodes(self):
         with pytest.raises(ConfigError):
             Config(num_nodes=1)
-
-    def test_lane_count_follows_architecture(self):
-        assert Config(num_nodes=4, cores=3).lane_count == 3
-        assert Config(num_nodes=4, architecture=Architecture.PARALLEL, lanes=2).lane_count == 2
-        assert Config(num_nodes=4, architecture=Architecture.SHUFFLE, sets=4).lane_count == 4
 
 
 class TestBatchBitmaps:

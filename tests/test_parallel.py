@@ -14,8 +14,7 @@ from slotarbiter import (
     run_pipeline_deterministic,
     verify_admitted,
 )
-from slotarbiter.kernel import AllocationRecord
-from slotarbiter.parallel import LaneAdmission, apply_cancellations
+from slotarbiter.parallel import AllocationRecord, LaneAdmission, apply_cancellations
 from slotarbiter.workload import Arrival, WorkloadSpec
 
 from conftest import edges_of, make_trace

@@ -1,12 +1,20 @@
 """Shuffle architecture: backlog dedup, bin circulation, distributor."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+
 import pytest
 
+import slotarbiter
 from slotarbiter import (
     Architecture,
     Config,
     Demand,
     VerifyingSink,
+    bench_distributor,
     oracle_replay,
     run_paced,
     run_shuffle_deterministic,
@@ -161,6 +169,33 @@ class TestDeterministic:
         res = run_shuffle_deterministic(cfg(sets=4), trace)
         assert res.metrics.conservation_ok()
 
+    def test_origin_check_survives_optimize_flag(self):
+        # a wrong inverse must fail loudly even where asserts are stripped
+        script = textwrap.dedent(
+            """
+            from slotarbiter import Architecture, Config, run_shuffle_deterministic
+            from slotarbiter.permutation import PermutationSpec
+            from slotarbiter.workload import Arrival
+
+            invert = PermutationSpec.invert
+            PermutationSpec.invert = lambda self, y, i: (invert(self, y, i) + 1) % self.size
+            cfg = Config(num_nodes=16, sets=2, architecture=Architecture.SHUFFLE)
+            trace = [Arrival(0, 1, 2, 3), Arrival(0, 9, 3, 3)]
+            try:
+                run_shuffle_deterministic(cfg, trace)
+            except RuntimeError as exc:
+                print("RuntimeError:", exc)
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(slotarbiter.__file__))
+        env = dict(os.environ, PYTHONPATH=src_dir)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("RuntimeError: inverse distributor"), proc.stdout
+
     def test_emitted_in_slot_order_across_sets(self):
         trace = make_trace(33, 300, 64, unique_pairs=False)
         res = run_shuffle_deterministic(cfg(sets=2), trace)
@@ -227,3 +262,12 @@ class TestPaced:
         assert sink.violations == 0
         assert sink.out_of_order == 0
         assert m.allocated_slots > 0
+
+
+class TestBenchDistributor:
+    def test_quick_run_reports_every_circulation(self):
+        before = set(threading.enumerate())
+        stats = bench_distributor(2, circulations=20)
+        assert stats["circulations"] == 40.0
+        assert 0 < stats["p50_us"] <= stats["p99_us"]
+        assert [t for t in threading.enumerate() if t not in before] == []

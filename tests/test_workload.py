@@ -6,7 +6,6 @@ from slotarbiter import (
     TraceFormatError,
     WorkloadSpec,
     WorkloadStream,
-    gen_workload,
     mean_t_for_load,
     record_trace,
     replay_trace,
@@ -55,10 +54,6 @@ class TestStream:
         arrivals = WorkloadStream(spec(src_range=(16, 32))).take(5000)
         assert all(16 <= a.src < 32 for a in arrivals)
         assert all(a.src != a.dst for a in arrivals)
-
-    def test_gen_workload_facade(self):
-        stream = gen_workload(spec())
-        assert stream.take(3) == WorkloadStream(spec()).take(3)
 
 
 class TestShardSpec:
