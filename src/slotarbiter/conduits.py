@@ -1,16 +1,21 @@
-"""Inter-lane conduits: bounded SPSC queues and single-slot mailboxes.
+"""Inter-lane conduits, and the thread that runs a paced machine's lane.
 
-Both are single-producer single-consumer by contract.  SpscQueue is the
-general demand conduit (QHead, lane feeds); Mailbox is the one-slot bin
-handoff cell with an explicit full/empty flag, used by the shuffle
-distributor grid.
+Both conduits are single-producer single-consumer by contract.  SpscQueue
+is the general demand conduit (QHead, shard feeds); Mailbox is the one-slot
+bin handoff cell with an explicit full/empty flag, used by the shuffle
+distributor grid.  ``snapshot`` and ``peek`` read them without taking, for
+shutdown accounting.
+
+A ``LaneThread`` that raises keeps the exception and sets its machine's stop
+event, so the other lanes wind down; ``join_lanes`` re-raises it, so the
+paced run fails instead of returning quietly.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Generic, List, Optional, TypeVar
+from typing import Any, Callable, Deque, Generic, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -67,6 +72,11 @@ class SpscQueue(Generic[T]):
             self._cond.notify()
             return items
 
+    def snapshot(self) -> List[T]:
+        """Everything currently queued, left in place."""
+        with self._cond:
+            return list(self._items)
+
     def __len__(self) -> int:
         return len(self._items)
 
@@ -89,6 +99,10 @@ class Mailbox:
     @property
     def full(self) -> bool:
         return self._full
+
+    def peek(self) -> Optional[Any]:
+        """The stored value, left in place; None when empty."""
+        return self._value
 
     def try_put(self, value: Any) -> bool:
         with self._cond:
@@ -129,3 +143,29 @@ class Mailbox:
             self._full = False
             self._cond.notify()
             return value
+
+
+class LaneThread(threading.Thread):
+    """Runs one lane of a paced machine; an exception it raises fails the run."""
+
+    def __init__(self, name: str, stop_event: threading.Event, target: Callable[[], None]) -> None:
+        super().__init__(name=name, target=target, daemon=True)
+        self.stop_event = stop_event
+        self.error: Optional[BaseException] = None
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:
+            self.error = exc
+            self.stop_event.set()
+
+
+def join_lanes(stop_event: threading.Event, lanes: Sequence[LaneThread]) -> None:
+    """Stop and join every lane, then re-raise the first lane's error."""
+    stop_event.set()
+    for lane in lanes:
+        lane.join()
+    for lane in lanes:
+        if lane.error is not None:
+            raise lane.error

@@ -1,8 +1,8 @@
 """Parallel allocation: every lane works the same batch, then reconcile.
 
 Lanes hold private bitmaps and their own pending demands; incoming demands
-are spread round-robin over per-lane conduits and stay in their lane for
-life.  Each batch a lane visits its pending set in the system-wide LRU order
+are dealt round-robin to the lanes and stay in their lane for life.  Each
+batch a lane visits its pending set in the system-wide LRU order
 (``canonical_order``) and claims slots for each demand with the kernel's
 ``allocate_slots``.
 Because the bitmaps are private, two lanes can admit edges that contend on a
@@ -11,18 +11,20 @@ for every contended (slot, role, node) and cancels the rest.  Cancelled slots
 are restored to their demands, which re-enter the lane's pending set with the
 last-allocation key rolled back, so nothing is ever lost.
 
-All lanes advance to the next batch together: in the paced driver they meet
-at one barrier whose action reconciles and emits the batch, in the
-deterministic one plain loop order does the same.
+All lanes advance to the next batch together: ``_allocate_round`` runs every
+lane's allocation, the reconciliation and every lane's absorb for one batch.
+The deterministic driver calls it once per batch of replayed time; the paced
+machine calls it from its single thread, once per pass.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from .conduits import SpscQueue
+from .conduits import LaneThread, SpscQueue, join_lanes
 from .kernel import allocate_slots
 from .model import AdmittedBatch, BatchBitmaps, Config, Demand, Metrics, RunResult
 from .oracle import canonical_order
@@ -194,6 +196,24 @@ class Lane:
         return sum(d.remaining for d in self.pending)
 
 
+def _allocate_round(
+    lanes: Sequence[Lane], base: int, fresh: Sequence[Sequence[Demand]]
+) -> ReconcileResult:
+    """Every lane allocates batch ``base``, reconcile, every lane absorbs."""
+    result = reconcile([lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)])
+    for lane in lanes:
+        result.cancelled.extend(lane.absorb(result.cancelled_edges, base))
+    return result
+
+
+def _lane_counters(lanes: Sequence[Lane]) -> dict:
+    return {
+        "drained": [lane.drained for lane in lanes],
+        "allocated": [lane.allocated_slots for lane in lanes],
+        "cancelled": [lane.cancelled_slots for lane in lanes],
+    }
+
+
 def run_parallel_deterministic(
     cfg: Config,
     arrivals: Sequence[Arrival],
@@ -203,8 +223,7 @@ def run_parallel_deterministic(
     """Single-thread replay: lanes allocate one batch each round, then reconcile."""
     lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
     batches: List[AdmittedBatch] = []
-    collect = sink is None
-    emit = batches.append if collect else sink
+    emit = batches.append if sink is None else sink
 
     cursor = ArrivalCursor(arrivals)
     rr = 0
@@ -221,117 +240,83 @@ def run_parallel_deterministic(
         # nothing is ever dropped, so live work is exactly the running gap
         if metrics.demanded_slots == metrics.allocated_slots and cursor.exhausted:
             break
-
-        fragments = [lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)]
-        result = reconcile(fragments)
-        for lane in lanes:
-            result.cancelled.extend(lane.absorb(result.cancelled_edges, base))
+        result = _allocate_round(lanes, base, fresh)
         emit(result.final)
         metrics.allocated_slots += len(result.final.edges)
         base += cfg.batch_size
 
     metrics.cancelled_then_reissued = sum(lane.cancelled_slots for lane in lanes)
     metrics.pending_slots = sum(lane.pending_slots() for lane in lanes)
-    metrics.lane_counters = {
-        "drained": [lane.drained for lane in lanes],
-        "allocated": [lane.allocated_slots for lane in lanes],
-        "cancelled": [lane.cancelled_slots for lane in lanes],
-    }
+    metrics.lane_counters = _lane_counters(lanes)
     return RunResult(metrics, batches)
 
 
-#: Per-lane live-demand ceiling in paced mode; the conduit backs up (and the
-#: generator reports overload) instead of the pending set growing unbounded.
+#: Per-lane live-demand ceiling in paced mode; QHead backs up (and the
+#: generator reports overload) instead of the pending sets growing unbounded.
 _PENDING_HIGH_WATER = 8192
 
-
-class _ParallelLaneThread(threading.Thread):
-    def __init__(self, lane: Lane, machine: "ParallelMachine") -> None:
-        super().__init__(name=f"par-lane-{lane.lane_id}", daemon=True)
-        self.lane = lane
-        self.machine = machine
-
-    def run(self) -> None:
-        m = self.machine
-        lane = self.lane
-        conduit = m.conduits[lane.lane_id]
-        while not m.stop_event.is_set():
-            fresh = []
-            while len(lane.pending) + len(fresh) < _PENDING_HIGH_WATER:
-                demand = conduit.try_take()
-                if demand is None:
-                    break
-                fresh.append(demand)
-            fragment = lane.allocate(m.base_slot, fresh)
-            m.fragments[lane.lane_id] = fragment
-            try:
-                m.barrier.wait()  # the last lane to arrive runs _reconcile
-            except threading.BrokenBarrierError:
-                break
-            lane.absorb(m.last_cancelled, fragment.base_slot)
+#: Demands taken from QHead per pass in paced mode.  Taking all of QHead
+#: at once under overload grows the pending sets that every batch re-visits,
+#: and batches slow down as they grow.
+_QHEAD_CHUNK = 512
 
 
 class ParallelMachine:
-    """Paced parallel driver: lane threads meeting at a reconciling barrier."""
+    """Paced parallel driver: one thread runs allocate-reconcile-absorb rounds.
+
+    Demands are dealt round-robin to the lanes as they are taken from QHead,
+    as in replay, at most ``_QHEAD_CHUNK`` per pass.  Every pass allocates and
+    emits one batch.
+    """
 
     def __init__(self, cfg: Config, sink: BatchSink) -> None:
         self.cfg = cfg
         self.sink = sink
-        self.stop_event = threading.Event()
-        self.conduits = [SpscQueue(cfg.mailbox_depth) for _ in range(cfg.lanes)]
+        self.qhead: SpscQueue[Demand] = SpscQueue(cfg.mailbox_depth)
         self.lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
-        self.fragments: List[Optional[LaneAdmission]] = [None] * cfg.lanes
-        self.last_cancelled: Set[CancelKey] = set()
         self.base_slot = 1
         self.emitted_batches = 0
-        self.barrier = threading.Barrier(cfg.lanes, action=self._reconcile)
-        self.threads = [_ParallelLaneThread(lane, self) for lane in self.lanes]
         self._rr = 0
+        self.stop_event = threading.Event()
+        self.runner = LaneThread("parallel", self.stop_event, target=self._run)
 
-    def _reconcile(self) -> None:
-        """Barrier action: runs once per batch, while every lane waits."""
-        result = reconcile(self.fragments)
-        self.last_cancelled = result.cancelled_edges
-        self.sink(result.final)
-        self.emitted_batches += 1
-        self.base_slot += self.cfg.batch_size
+    def _run(self) -> None:
+        lanes = self.lanes
+        while not self.stop_event.is_set():
+            fresh: List[List[Demand]] = [[] for _ in lanes]
+            for _ in range(_QHEAD_CHUNK):
+                i = self._rr % len(lanes)
+                if len(lanes[i].pending) + len(fresh[i]) >= _PENDING_HIGH_WATER:
+                    break
+                demand = self.qhead.try_take()
+                if demand is None:
+                    break
+                fresh[i].append(demand)
+                self._rr += 1
+            idle = not any(fresh) and not any(lane.pending for lane in lanes)
+            result = _allocate_round(lanes, self.base_slot, fresh)
+            self.sink(result.final)
+            self.emitted_batches += 1
+            self.base_slot += self.cfg.batch_size
+            # Yield once per batch so the generator can refill QHead; rest
+            # for 100 us when there was nothing to allocate.
+            time.sleep(0.0001 if idle else 0)
 
     def push(self, demand: Demand) -> bool:
-        ok = self.conduits[self._rr % self.cfg.lanes].try_put(demand)
-        if ok:
-            self._rr += 1
-        return ok
+        return self.qhead.try_put(demand)
 
     def allocated_slots(self) -> int:
         return sum(lane.allocated_slots for lane in self.lanes)
 
     def start(self) -> None:
-        for t in self.threads:
-            t.start()
+        self.runner.start()
 
     def stop_and_join(self) -> None:
-        self.stop_event.set()
-        self.barrier.abort()
-        for t in self.threads:
-            t.join()
+        join_lanes(self.stop_event, [self.runner])
 
     def pending_slots(self) -> int:
-        pending = sum(lane.pending_slots() for lane in self.lanes)
-        for conduit in self.conduits:
-            pending += sum(d.remaining for d in conduit.drain())
-        # a batch cut off between allocate and absorb leaves its records
-        # unresolved: those slots fall back to pending work
-        for lane in self.lanes:
-            for rec in lane.last_records:
-                pending += len(rec.offsets)
-                if rec.residual is not None:
-                    pending += rec.residual.remaining
-        return pending
+        queued = sum(d.remaining for d in self.qhead.snapshot())
+        return queued + sum(lane.pending_slots() for lane in self.lanes)
 
     def lane_counters(self) -> dict:
-        return {
-            "drained": [lane.drained for lane in self.lanes],
-            "allocated": [lane.allocated_slots for lane in self.lanes],
-            "cancelled": [lane.cancelled_slots for lane in self.lanes],
-            "emitted_batches": self.emitted_batches,
-        }
+        return dict(_lane_counters(self.lanes), emitted_batches=self.emitted_batches)

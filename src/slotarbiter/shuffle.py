@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from .conduits import Mailbox, SpscQueue
+from .conduits import LaneThread, Mailbox, SpscQueue, join_lanes
 from .kernel import allocate_slots, bin_index
 from .model import (
     AdmittedBatch,
@@ -223,12 +223,10 @@ def run_shuffle_deterministic(
     arrivals: Sequence[Arrival],
     max_rounds: int = 100_000,
     sink: Optional[BatchSink] = None,
-    bin_capacity: Optional[int] = None,
 ) -> RunResult:
     """Single-thread replay of the full circulation, one bin per shard per round."""
     num_sets = cfg.sets
     batch = cfg.batch_size
-    capacity = bin_capacity if bin_capacity is not None else cfg.bin_capacity
     perm = PermutationSpec(num_sets)
     shards = [
         BacklogShard(x, lo, hi, cfg.num_priority_bins)
@@ -255,7 +253,7 @@ def run_shuffle_deterministic(
         routed: Dict[int, Bin] = {}
         for shard in shards:
             target = perm.permute(shard.shard_id, round_index)
-            bin_ = Bin(origin=shard.shard_id, round_index=round_index, capacity=capacity)
+            bin_ = Bin(origin=shard.shard_id, round_index=round_index, capacity=cfg.bin_capacity)
             shard.fill_bin(bin_, base_for(target, round_index))
             routed[target] = bin_
 
@@ -312,9 +310,9 @@ class _SlotOrderedEmitter:
 _STAGING_HIGH_WATER = 8192
 
 
-class _BacklogLane(threading.Thread):
+class _BacklogLane(LaneThread):
     def __init__(self, machine: "ShuffleMachine", shard: BacklogShard) -> None:
-        super().__init__(name=f"backlog-{shard.shard_id}", daemon=True)
+        super().__init__(f"backlog-{shard.shard_id}", machine.stop_event, self.work)
         self.m = machine
         self.shard = shard
         self.pool: Deque[Bin] = deque(
@@ -340,7 +338,7 @@ class _BacklogLane(threading.Thread):
         self.pool.append(bin_)
         return True
 
-    def run(self) -> None:
+    def work(self) -> None:
         m = self.m
         conduit = m.ingest_conduits[self.shard.shard_id]
         while not m.stop_event.is_set():
@@ -369,15 +367,15 @@ class _BacklogLane(threading.Thread):
             self.sent_bins += 1
 
 
-class _AllocLane(threading.Thread):
+class _AllocLane(LaneThread):
     def __init__(self, machine: "ShuffleMachine", set_id: int) -> None:
-        super().__init__(name=f"alloc-{set_id}", daemon=True)
+        super().__init__(f"alloc-{set_id}", machine.stop_event, self.work)
         self.m = machine
         self.set_id = set_id
         self.round_index = 0
         self.processed_bins = 0
 
-    def run(self) -> None:
+    def work(self) -> None:
         m = self.m
         cfg = m.cfg
         while not m.stop_event.is_set():
@@ -385,6 +383,15 @@ class _AllocLane(threading.Thread):
             bin_ = m.dist_grid[src_shard][self.set_id].take(timeout=0.01)
             if bin_ is None:
                 continue
+            # the mailbox was picked with invert(); check the bin with permute()
+            if (
+                bin_.round_index != self.round_index
+                or m.perm.permute(bin_.origin, bin_.round_index) != self.set_id
+            ):
+                raise RuntimeError(
+                    f"alloc set {self.set_id} of round {self.round_index} took shard "
+                    f"{bin_.origin}'s bin of round {bin_.round_index}"
+                )
             base = m.base_for(self.set_id, self.round_index)
             bitmaps = BatchBitmaps(cfg.num_nodes, cfg.batch_size)
             alloc_process(bin_, bitmaps, base)
@@ -396,15 +403,15 @@ class _AllocLane(threading.Thread):
             self.processed_bins += 1
 
 
-class _PostallocLane(threading.Thread):
+class _PostallocLane(LaneThread):
     def __init__(self, machine: "ShuffleMachine", set_id: int) -> None:
-        super().__init__(name=f"postalloc-{set_id}", daemon=True)
+        super().__init__(f"postalloc-{set_id}", machine.stop_event, self.work)
         self.m = machine
         self.set_id = set_id
         self.round_index = 0
         self.allocated_slots = 0
 
-    def run(self) -> None:
+    def work(self) -> None:
         m = self.m
         while not m.stop_event.is_set():
             bin_ = m.to_post[self.set_id].take(timeout=0.01)
@@ -446,6 +453,7 @@ class ShuffleMachine:
         self.backlog_lanes = [_BacklogLane(self, shard) for shard in self.shards]
         self.alloc_lanes = [_AllocLane(self, s) for s in range(num_sets)]
         self.postalloc_lanes = [_PostallocLane(self, s) for s in range(num_sets)]
+        self.lanes = self.backlog_lanes + self.alloc_lanes + self.postalloc_lanes
         self._orphans: List[Bin] = []
         self._orphan_lock = threading.Lock()
 
@@ -464,35 +472,23 @@ class ShuffleMachine:
         return sum(lane.allocated_slots for lane in self.postalloc_lanes)
 
     def start(self) -> None:
-        for lane in self.backlog_lanes + self.alloc_lanes + self.postalloc_lanes:
+        for lane in self.lanes:
             lane.start()
 
     def stop_and_join(self) -> None:
-        self.stop_event.set()
-        for lane in self.backlog_lanes + self.alloc_lanes + self.postalloc_lanes:
-            lane.join()
+        join_lanes(self.stop_event, self.lanes)
         self.emitter.flush()
 
     def pending_slots(self) -> int:
         pending = sum(shard.pending_slots() for shard in self.shards)
         for conduit in self.ingest_conduits:
-            pending += sum(d.remaining for d in conduit.drain())
+            pending += sum(d.remaining for d in conduit.snapshot())
         bins: List[Bin] = list(self._orphans)
         for lane in self.backlog_lanes:
             bins.extend(lane.pool)
-        for grid in (self.dist_grid, self.inv_grid):
-            for row in grid:
-                for mailbox in row:
-                    bin_ = mailbox.try_take()
-                    if bin_ is not None:
-                        bins.append(bin_)
-        for mailbox in self.to_post:
-            bin_ = mailbox.try_take()
-            if bin_ is not None:
-                bins.append(bin_)
-        for bin_ in bins:
-            pending += bin_.pending_slots()
-        return pending
+        mailboxes = [mb for grid in (self.dist_grid, self.inv_grid) for row in grid for mb in row]
+        bins.extend(mb.peek() for mb in mailboxes + self.to_post if mb.full)
+        return pending + sum(bin_.pending_slots() for bin_ in bins)
 
     def lane_counters(self) -> dict:
         return {
@@ -546,14 +542,13 @@ def bench_distributor(
             src = shard.src_lo + i % width
             shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
     lanes = machine.backlog_lanes
-    threads = lanes + machine.alloc_lanes + machine.postalloc_lanes
     prev_interval = sys.getswitchinterval()
     sys.setswitchinterval(0.0002)
     try:
         machine.start()
-        while any(len(lane.latencies) < circulations for lane in lanes):
-            if not all(t.is_alive() for t in threads):
-                raise RuntimeError("a distributor bench lane stopped early")
+        # a lane that raises sets the stop event; stop_and_join re-raises
+        stop = machine.stop_event
+        while not stop.is_set() and any(len(lane.latencies) < circulations for lane in lanes):
             time.sleep(0.001)
     finally:
         machine.stop_and_join()

@@ -174,7 +174,8 @@ def run_paced(
     deadline = start_ns + int(duration_s * 1e9)
     while True:
         now = time.monotonic_ns()
-        if now >= deadline:
+        # a failed lane sets the machine's stop event: end the run early
+        if now >= deadline or machine.stop_event.is_set():
             break
         samples.append(
             GapSample(

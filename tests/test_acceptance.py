@@ -95,9 +95,11 @@ class TestCriterion03OracleEquivalence:
                     trace,
                 ),
                 "shuffle": run_shuffle_deterministic(
-                    Config(num_nodes=256, sets=1, architecture=Architecture.SHUFFLE),
+                    Config(
+                        num_nodes=256, sets=1, architecture=Architecture.SHUFFLE,
+                        bin_capacity=10**6,
+                    ),
                     trace,
-                    bin_capacity=10**6,
                 ),
             }
             for name, res in runs.items():

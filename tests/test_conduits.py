@@ -36,6 +36,14 @@ class TestSpscQueue:
         assert q.drain() == [0, 1, 2, 3]
         assert len(q) == 0
 
+    def test_snapshot_leaves_items(self):
+        q = SpscQueue(8)
+        for i in range(3):
+            q.try_put(i)
+        assert q.snapshot() == [0, 1, 2]
+        assert q.snapshot() == [0, 1, 2]
+        assert q.try_take() == 0
+
     def test_threaded_transfer_complete(self):
         q = SpscQueue(16)
         count = 5000
@@ -66,6 +74,13 @@ class TestMailbox:
         payload = object()
         assert mb.try_put(payload)
         assert mb.try_take() is payload
+
+    def test_peek_leaves_value(self):
+        mb = Mailbox()
+        assert mb.peek() is None
+        mb.try_put("a")
+        assert mb.peek() == "a" and mb.full
+        assert mb.try_take() == "a"
 
     def test_second_put_refused_until_taken(self):
         mb = Mailbox()

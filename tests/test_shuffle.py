@@ -157,7 +157,7 @@ class TestShardPartition:
 class TestDeterministic:
     def test_single_set_equals_oracle(self):
         trace = make_trace(31, 400, 64)
-        res = run_shuffle_deterministic(cfg(), trace, bin_capacity=10**6)
+        res = run_shuffle_deterministic(cfg(bin_capacity=10**6), trace)
         arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
         expected, _ = oracle_replay(arrivals, 8)
         assert edges_of(res.batches) == edges_of(expected)
@@ -262,6 +262,20 @@ class TestPaced:
         assert sink.violations == 0
         assert sink.out_of_order == 0
         assert m.allocated_slots > 0
+
+
+    def test_alloc_lane_checks_its_routing(self, monkeypatch):
+        # invert() both picks the alloc lane's mailbox and names the origin the
+        # postalloc lane checks, so only a permute() check at alloc sees this
+        from slotarbiter.permutation import PermutationSpec
+
+        invert = PermutationSpec.invert
+        monkeypatch.setattr(
+            PermutationSpec, "invert", lambda self, y, i: (invert(self, y, i) + 1) % self.size
+        )
+        spec = WorkloadSpec(seed=7, num_nodes=64, mean_interarrival_ns=500_000)
+        with pytest.raises(RuntimeError, match="alloc set"):
+            run_paced(cfg(sets=2), spec, 0.8)
 
 
 class TestBenchDistributor:

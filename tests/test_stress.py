@@ -1,9 +1,22 @@
-"""Stress harness: sustain gate and the adaptive load search."""
+"""Stress harness: sustain gate, the adaptive load search, paced machines."""
+
+import threading
+import time
 
 import pytest
 
-from slotarbiter import SearchError, auto_search, sustain_check
-from slotarbiter.stress import GapSample
+from slotarbiter import (
+    Architecture,
+    Config,
+    Demand,
+    SearchError,
+    auto_search,
+    run_paced,
+    sustain_check,
+)
+from slotarbiter import kernel, parallel, shuffle
+from slotarbiter.stress import GapSample, _build_machine
+from slotarbiter.workload import WorkloadSpec
 
 
 def samples_from_gaps(gaps):
@@ -93,3 +106,63 @@ class TestAutoSearch:
             probe, initial_mean_t_ns=1e6, min_factor=1.05, probe_duration_s=0, budget_s=None
         )
         assert result.load_bps == pytest.approx(ceiling, rel=0.05)
+
+
+#: architecture -> (lane config, the stage patched to raise in a lane)
+MACHINES = {
+    Architecture.PIPELINED: ({"cores": 2}, (kernel.GreedyKernel, "sweep")),
+    Architecture.PARALLEL: ({"lanes": 2}, (parallel, "reconcile")),
+    Architecture.SHUFFLE: ({"sets": 2}, (shuffle, "postalloc_process")),
+}
+
+
+def machine_cfg(arch, **kw):
+    return Config(num_nodes=32, batch_size=8, architecture=arch, **MACHINES[arch][0], **kw)
+
+
+class TestPacedMachines:
+    @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
+    def test_failing_lane_fails_the_run(self, arch, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected lane fault")
+
+        owner, name = MACHINES[arch][1]
+        monkeypatch.setattr(owner, name, boom)
+        before = set(threading.enumerate())
+        spec = WorkloadSpec(seed=5, num_nodes=32, mean_interarrival_ns=200_000)
+        with pytest.raises(RuntimeError, match="injected lane fault"):
+            run_paced(machine_cfg(arch), spec, 5.0)
+        assert [t for t in threading.enumerate() if t not in before] == []
+
+    @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
+    def test_shutdown_accounting_is_idempotent(self, arch):
+        machine = _build_machine(machine_cfg(arch, mailbox_depth=64), lambda batch: None)
+        demanded = 0
+
+        def push_all():
+            nonlocal demanded
+            for i in range(400):
+                src = i % 32
+                demand = Demand(src, (src + 1 + i // 32) % 32, 5)
+                if machine.push(demand):
+                    demanded += demand.remaining
+
+        machine.start()
+        push_all()
+        time.sleep(0.05)
+        machine.stop_and_join()
+        push_all()  # left in the conduits: nothing takes them any more
+        pending = machine.pending_slots()
+        assert machine.pending_slots() == pending
+        assert demanded == machine.allocated_slots() + pending
+
+    @pytest.mark.parametrize("arch", [Architecture.PIPELINED, Architecture.PARALLEL],
+                             ids=lambda a: a.value)
+    def test_one_engine_thread(self, arch):
+        before = set(threading.enumerate())
+        machine = _build_machine(machine_cfg(arch), lambda batch: None)
+        machine.start()
+        try:
+            assert len([t for t in threading.enumerate() if t not in before]) == 1
+        finally:
+            machine.stop_and_join()
