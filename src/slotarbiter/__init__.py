@@ -25,6 +25,7 @@ from .kernel import (
     allocate_batch,
     bin_index,
     first_free_slot,
+    lru_order,
 )
 from .oracle import (
     canonical_order,
@@ -85,6 +86,7 @@ __all__ = [
     "bin_index",
     "canonical_order",
     "first_free_slot",
+    "lru_order",
     "mean_t_for_load",
     "oracle_allocate",
     "oracle_replay",

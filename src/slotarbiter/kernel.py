@@ -17,14 +17,16 @@ exist:
 Coarse bins drain in ascending index order, so a bin is never drained
 before every higher-priority bin has been.  ``allocate_slots`` is the
 batch-style claim of one demand on its own; the parallel lanes and the
-shuffle alloc stage call it directly over their own drain order.
+shuffle alloc stage call it directly, over demands that ``lru_order`` put in
+coarse-bin order without a Python sort key per demand.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple
+from operator import attrgetter
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .model import AdmittedBatch, AllocationMode, BatchBitmaps, Demand
 
@@ -49,6 +51,28 @@ def bin_index(last_alloc: int, current: int, num_bins: int = 32) -> int:
         raise ValueError(f"last_alloc {last_alloc} is ahead of current {current}")
     top = num_bins - 1
     return top - min(gap, top)
+
+
+def lru_order(demands: Sequence[Demand], current: int, num_bins: int = 32) -> List[Demand]:
+    """The demands stably sorted by ``bin_index``, without a Python sort key.
+
+    ``bin_index`` ranks a demand by ``max(last_alloc, current - (num_bins - 1))``:
+    every demand at or below that floor ties in bin 0 and keeps its place,
+    and above it the bin grows with ``last_alloc`` one for one.  So the floor
+    demands in their given order, followed by the rest stably sorted by
+    ``last_alloc``, is exactly ``sorted(demands, key=bin_index(...))``, with
+    the same objects.  Raises ValueError, as ``bin_index`` does, when a
+    ``last_alloc`` is ahead of ``current``.
+    """
+    floor = current - (num_bins - 1)
+    old = [d for d in demands if d.last_alloc <= floor]
+    if len(old) == len(demands):
+        return old
+    recent = sorted((d for d in demands if d.last_alloc > floor), key=attrgetter("last_alloc"))
+    if recent[-1].last_alloc > current:
+        raise ValueError(f"last_alloc {recent[-1].last_alloc} is ahead of current {current}")
+    old.extend(recent)
+    return old
 
 
 class PriorityBins:

@@ -3,8 +3,8 @@
 Lanes hold private bitmaps and their own pending demands; incoming demands
 are dealt round-robin to the lanes and stay in their lane for life.  Each
 batch a lane visits its pending set in the system-wide LRU order
-(``canonical_order``) and claims slots for each demand with the kernel's
-``allocate_slots``.
+(``kernel.lru_order``, the order the oracle's ``canonical_order`` sorts
+into) and claims slots for each demand with the kernel's ``allocate_slots``.
 Because the bitmaps are private, two lanes can admit edges that contend on a
 source or destination; the reconciliation stage keeps the lowest-lane claim
 for every contended (slot, role, node) and cancels the rest.  Cancelled slots
@@ -21,13 +21,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .conduits import LaneThread, SpscQueue, join_lanes
-from .kernel import allocate_slots
+from .kernel import allocate_slots, lru_order
 from .model import AdmittedBatch, BatchBitmaps, Config, Demand, Metrics, RunResult
-from .oracle import canonical_order
 from .workload import Arrival, ArrivalCursor
 
 BatchSink = Callable[[AdmittedBatch], None]
@@ -66,7 +65,6 @@ class LaneAdmission:
 class ReconcileResult:
     final: AdmittedBatch
     cancelled_edges: Set[CancelKey]
-    cancelled: List[Tuple[Demand, int]] = field(default_factory=list)
 
 
 def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
@@ -114,16 +112,15 @@ def apply_cancellations(
     base_slot: int,
     records: Sequence[AllocationRecord],
     cancelled_edges: Set[CancelKey],
-) -> Tuple[List[Demand], List[Tuple[Demand, int]], int, int]:
+) -> Tuple[List[Demand], int, int]:
     """Rebuild a lane's surviving demands after reconciliation.
 
     For each allocation record the kept offsets decide the demand's rolled
     state: remaining grows by the revoked count, last_alloc points to the
     last kept slot (or rolls back to its pre-batch value when everything was
-    revoked).  Returns (requeue, cancelled_pairs, revoked_slots, kept_slots).
+    revoked).  Returns (requeue, revoked_slots, kept_slots).
     """
     requeue: List[Demand] = []
-    cancelled_pairs: List[Tuple[Demand, int]] = []
     revoked_total = 0
     kept_total = 0
     for rec in records:
@@ -136,11 +133,8 @@ def apply_cancellations(
         if remaining == 0:
             continue
         last_alloc = base_slot + max(kept) if kept else rec.prev_last_alloc
-        demand = Demand(rec.src, rec.dst, remaining, last_alloc)
-        requeue.append(demand)
-        if revoked:
-            cancelled_pairs.append((demand, revoked))
-    return requeue, cancelled_pairs, revoked_total, kept_total
+        requeue.append(Demand(rec.src, rec.dst, remaining, last_alloc))
+    return requeue, revoked_total, kept_total
 
 
 class Lane:
@@ -163,7 +157,7 @@ class Lane:
     def allocate(self, base_slot: int, fresh: Sequence[Demand]) -> LaneAdmission:
         """Greedy batch-style pass over the pending set in LRU order."""
         self.pending.extend(fresh)
-        ordered = canonical_order(self.pending, base_slot, self.cfg.num_priority_bins)
+        ordered = lru_order(self.pending, base_slot, self.cfg.num_priority_bins)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
         records: List[AllocationRecord] = []
@@ -182,15 +176,14 @@ class Lane:
         self.last_records = records
         return LaneAdmission(self.lane_id, base_slot, self.cfg.batch_size, edges, records)
 
-    def absorb(self, cancelled_edges: Set[CancelKey], base_slot: int) -> List[Tuple[Demand, int]]:
-        requeue, cancelled_pairs, revoked, kept = apply_cancellations(
+    def absorb(self, cancelled_edges: Set[CancelKey], base_slot: int) -> None:
+        requeue, revoked, kept = apply_cancellations(
             self.lane_id, base_slot, self.last_records, cancelled_edges
         )
         self.pending.extend(requeue)
         self.allocated_slots += kept
         self.cancelled_slots += revoked
         self.last_records = []
-        return cancelled_pairs
 
     def pending_slots(self) -> int:
         return sum(d.remaining for d in self.pending)
@@ -202,7 +195,7 @@ def _allocate_round(
     """Every lane allocates batch ``base``, reconcile, every lane absorbs."""
     result = reconcile([lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)])
     for lane in lanes:
-        result.cancelled.extend(lane.absorb(result.cancelled_edges, base))
+        lane.absorb(result.cancelled_edges, base)
     return result
 
 

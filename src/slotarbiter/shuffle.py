@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from .conduits import LaneThread, Mailbox, SpscQueue, join_lanes
-from .kernel import allocate_slots, bin_index
+from .kernel import allocate_slots, lru_order
 from .model import (
     AdmittedBatch,
     Architecture,
@@ -115,10 +115,12 @@ class BacklogShard:
             )
 
     def fill_bin(self, bin_: Bin, current_base: int) -> None:
-        """Move staged demands into the bin, most-starved first."""
-        ordered = sorted(
-            self.staging, key=lambda d: bin_index(d.last_alloc, current_base, self.num_bins)
-        )
+        """Move staged demands into the bin, most-starved first.
+
+        The staging list is put in ``lru_order`` for ``current_base``: the
+        bin takes its head and the rest stays staged in that order.
+        """
+        ordered = lru_order(self.staging, current_base, self.num_bins)
         take = ordered[: bin_.capacity]
         bin_.entries = take
         bin_.result_bits = [0] * len(take)

@@ -1,8 +1,15 @@
 """Allocation kernel: bins, bitmap matching, both drain modes."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import slotarbiter
 from slotarbiter import (
     AllocationMode,
     BatchBitmaps,
@@ -11,7 +18,9 @@ from slotarbiter import (
     PriorityBins,
     allocate_batch,
     bin_index,
+    canonical_order,
     first_free_slot,
+    lru_order,
     oracle_allocate,
 )
 
@@ -50,6 +59,58 @@ class TestBinIndex:
     def test_future_last_alloc_rejected(self):
         with pytest.raises(ValueError):
             bin_index(5, 4)
+
+
+@st.composite
+def _backlog(draw):
+    """A current slot and demands whose last_alloc is at most that slot."""
+    current = draw(st.integers(0, 200))
+    last_alloc = st.one_of(
+        st.just(0),
+        st.just(current),
+        st.integers(max(0, current - 40), current),
+        st.integers(0, current),
+    )
+    demands = draw(st.lists(
+        st.builds(lambda src, n, last: Demand(src, src + 1, n, last),
+                  st.integers(0, 5), st.integers(1, 4), last_alloc),
+        max_size=40,
+    ))
+    return current, demands
+
+
+class TestLruOrder:
+    @given(_backlog(), st.sampled_from([1, 2, 32]))
+    def test_same_objects_in_same_order_as_oracle(self, backlog, num_bins):
+        current, demands = backlog
+        got = lru_order(demands, current, num_bins)
+        want = canonical_order(demands, current, num_bins)
+        assert len(got) == len(want)
+        assert all(g is w for g, w in zip(got, want))
+
+    @given(_backlog(), st.sampled_from([1, 2, 32]), st.integers(1, 50), st.data())
+    def test_future_last_alloc_rejected(self, backlog, num_bins, ahead, data):
+        current, demands = backlog
+        at = data.draw(st.integers(0, len(demands)))
+        demands.insert(at, Demand(7, 8, 1, current + ahead))
+        with pytest.raises(ValueError):
+            lru_order(demands, current, num_bins)
+
+    def test_future_check_survives_optimize_flag(self):
+        script = (
+            "from slotarbiter import Demand, lru_order\n"
+            "try:\n"
+            "    lru_order([Demand(1, 2, 1, 5), Demand(2, 3, 1, 9)], 8)\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError:', exc)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(slotarbiter.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("ValueError: last_alloc 9"), proc.stdout
 
 
 class TestSortIntoBins:

@@ -111,23 +111,22 @@ class TestApplyCancellations:
     def test_revoked_slots_restored_exactly(self):
         # lane 1 allocated offsets [2, 5] for (4, 2); offset 5 was cancelled
         rec = AllocationRecord(4, 2, [2, 5], prev_last_alloc=0, residual=None)
-        requeue, pairs, revoked, kept = apply_cancellations(
+        requeue, revoked, kept = apply_cancellations(
             1, 9, [rec], {(1, 5, 4, 2)}
         )
         assert revoked == 1 and kept == 1
         assert requeue == [Demand(4, 2, 1, last_alloc=11)]  # 9 + kept offset 2
-        assert pairs == [(Demand(4, 2, 1, 11), 1)]
 
     def test_fully_revoked_rolls_back_priority(self):
         rec = AllocationRecord(4, 2, [0], prev_last_alloc=77, residual=None)
-        requeue, pairs, revoked, kept = apply_cancellations(0, 9, [rec], {(0, 0, 4, 2)})
+        requeue, revoked, kept = apply_cancellations(0, 9, [rec], {(0, 0, 4, 2)})
         assert requeue == [Demand(4, 2, 1, last_alloc=77)]
         assert revoked == 1 and kept == 0
 
     def test_residual_merges_with_revoked(self):
         residual = Demand(4, 2, 10, last_alloc=16)
         rec = AllocationRecord(4, 2, [6, 7], prev_last_alloc=0, residual=residual)
-        requeue, pairs, revoked, kept = apply_cancellations(
+        requeue, revoked, kept = apply_cancellations(
             2, 9, [rec], {(2, 7, 4, 2)}
         )
         # 10 leftover + 1 revoked, last kept offset 6 -> slot 15
@@ -136,9 +135,9 @@ class TestApplyCancellations:
     def test_untouched_record_keeps_residual_only(self):
         residual = Demand(1, 2, 3, last_alloc=8)
         rec = AllocationRecord(1, 2, [5, 6, 7], prev_last_alloc=0, residual=residual)
-        requeue, pairs, revoked, kept = apply_cancellations(0, 1, [rec], set())
+        requeue, revoked, kept = apply_cancellations(0, 1, [rec], set())
         assert requeue == [residual.__class__(1, 2, 3, 8)]
-        assert not pairs and revoked == 0 and kept == 3
+        assert revoked == 0 and kept == 3
 
 
 class TestDeterministic:

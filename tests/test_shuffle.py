@@ -89,6 +89,20 @@ class TestBacklogShard:
         assert [(d.src, d.dst) for d in bin_.entries] == [(1, 2), (3, 4)]
         assert [(d.src, d.dst) for d in shard.staging] == [(2, 3)]  # waits, not dropped
 
+    def test_fill_keeps_starved_in_staging_order_then_sorts_recent(self):
+        shard = BacklogShard(0, 0, 8)
+        shard.staging = [
+            Demand(1, 2, 5, last_alloc=50),
+            Demand(2, 3, 5, last_alloc=90),
+            Demand(3, 4, 5, last_alloc=0),
+            Demand(4, 5, 5, last_alloc=80),
+        ]
+        bin_ = Bin(origin=0, capacity=3)
+        # at slot 100 with 32 bins, last_alloc <= 69 ties in bin 0
+        shard.fill_bin(bin_, current_base=100)
+        assert [d.last_alloc for d in bin_.entries] == [50, 0, 80]
+        assert [d.last_alloc for d in shard.staging] == [90]
+
     def test_out_of_range_src_rejected(self):
         shard = BacklogShard(0, 0, 8)
         with pytest.raises(ValueError):
