@@ -43,7 +43,6 @@ def _build_config(args: argparse.Namespace) -> Config:
         gap_bound=args.gap_bound,
         mailbox_depth=args.mailbox_depth,
         bin_capacity=args.bin_capacity,
-        bins_per_set=args.bins_per_set,
         mid_pipeline_ingest=args.mid_pipeline_ingest,
     )
 
@@ -217,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--gap-bound", type=int, default=10_000)
     run.add_argument("--mailbox-depth", type=int, default=4096)
     run.add_argument("--bin-capacity", type=int, default=64)
-    run.add_argument("--bins-per-set", type=int, default=4)
     run.add_argument("--mid-pipeline-ingest", action="store_true")
     run.add_argument("--trace-in", default=None)
     run.add_argument("--trace-out", default=None)

@@ -1,14 +1,15 @@
-"""Inter-lane conduits, and the thread that runs a paced machine's lane.
+"""Conduits, and the thread that runs a paced machine's engine.
 
 Both conduits are single-producer single-consumer by contract.  SpscQueue
-is the general demand conduit (QHead, shard feeds); Mailbox is the one-slot
-bin handoff cell with an explicit full/empty flag, used by the shuffle
-distributor grid.  ``snapshot`` and ``peek`` read them without taking, for
-shutdown accounting.
+is the general demand conduit (QHead, shard feeds) between a generator
+thread and a machine's thread.  Mailbox is the one-slot bin cell with an
+explicit full/empty flag: the shuffle distributor's grids are made of them,
+and one thread, the engine's, puts and takes every bin.  ``snapshot`` reads
+a queue without taking from it, for shutdown accounting.
 
 A ``LaneThread`` that raises keeps the exception and sets its machine's stop
-event, so the other lanes wind down; ``join_lanes`` re-raises it, so the
-paced run fails instead of returning quietly.
+event, which ends the paced run early; ``join_lanes`` re-raises it, so the
+run fails instead of returning quietly.
 """
 
 from __future__ import annotations
@@ -100,10 +101,6 @@ class Mailbox:
     def full(self) -> bool:
         return self._full
 
-    def peek(self) -> Optional[Any]:
-        """The stored value, left in place; None when empty."""
-        return self._value
-
     def try_put(self, value: Any) -> bool:
         with self._cond:
             if self._full:
@@ -146,7 +143,7 @@ class Mailbox:
 
 
 class LaneThread(threading.Thread):
-    """Runs one lane of a paced machine; an exception it raises fails the run."""
+    """Runs a paced machine's engine; an exception it raises fails the run."""
 
     def __init__(self, name: str, stop_event: threading.Event, target: Callable[[], None]) -> None:
         super().__init__(name=name, target=target, daemon=True)

@@ -183,7 +183,6 @@ class Config:
     gap_bound: int = 10_000
     mailbox_depth: int = 4096
     bin_capacity: int = 64
-    bins_per_set: int = 4
     mid_pipeline_ingest: bool = False
 
     def __post_init__(self) -> None:
@@ -197,7 +196,7 @@ class Config:
             raise ConfigError("num_priority_bins must be >= 1")
         if self.mtu_bytes <= 0 or self.link_rate_bps <= 0:
             raise ConfigError("mtu_bytes and link_rate_bps must be positive")
-        for name in ("cores", "lanes", "sets", "bin_capacity", "bins_per_set"):
+        for name in ("cores", "lanes", "sets", "bin_capacity"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.mailbox_depth < 1:

@@ -1,29 +1,27 @@
-"""Random-shuffle architecture: backlog / alloc / postalloc lane triples.
+"""Random-shuffle architecture: backlog shards, alloc sets, distributor.
 
-Each lane set owns one third of the allocator's job.  Backlog shards hold the
-per-(src, dst) dedup table for a contiguous slice of the source space, fill
-demands into fixed-capacity bins in LRU order, and hand the bins to the
-distributor.  Round i sends shard x's bin to alloc set (A*x + B) mod K; the
-alloc lane only scans the bin against its private bitmaps and fills the
-result bits; the postalloc lane splits spent from remaining entries, emits
-the admitted edges, and the inverse distributor carries the bin back to its
-origin shard based on the same round's parameters.  Bins travel through
-single-slot mailboxes, one writer and one reader each, so no lane ever shares
-a live bin.
+Backlog shards hold the per-(src, dst) dedup table for a contiguous slice of
+the source space and fill demands into fixed-capacity bins in LRU order.
+Round r sends shard x's bin to alloc set (A*x + B) mod K; the set scans the
+bin against fresh bitmaps and fills the result bits (``alloc_process``), then
+splits spent from remaining entries and emits the admitted edges
+(``postalloc_process``), and the inverse distributor carries the bin back to
+its origin shard based on the same round's parameters.
 
-Set s of round r allocates the batch starting at slot 1 + (r*S + s)*B, so S
-consecutive batches are worked concurrently and emitted in slot order.
+``ShuffleEngine`` is the only copy of a round.  The deterministic replay
+steps it once per round of replayed time; the paced ``ShuffleMachine`` steps
+it from its single thread.
+
+Set s of round r allocates the batch starting at slot 1 + (r*S + s)*B, so a
+round emits S consecutive batches, in slot order.
 """
 
 from __future__ import annotations
 
-import heapq
-import sys
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conduits import LaneThread, Mailbox, SpscQueue, join_lanes
 from .kernel import allocate_slots, lru_order
@@ -46,7 +44,7 @@ Edge = Tuple[int, int, int]
 
 @dataclass
 class Bin:
-    """Fixed-capacity demand container circulated between the lanes."""
+    """Fixed-capacity demand container circulated from a shard to a set and back."""
 
     origin: int
     round_index: int = 0
@@ -212,12 +210,72 @@ def _shard_ranges(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
     ]
 
 
-def _check_origin(origin: int, bin_: Bin) -> None:
-    if origin != bin_.origin:
-        raise RuntimeError(
-            f"inverse distributor sent shard {bin_.origin}'s bin of round "
-            f"{bin_.round_index} to shard {origin}"
-        )
+class ShuffleEngine:
+    """One shuffle allocator: K backlog shards, K alloc sets, the distributor.
+
+    ``step`` runs one round.  Every shard fills its bin and the distributor
+    carries it to alloc set ``permute(x, r)``; every set allocates and splits
+    the bin it takes, and the inverse distributor carries the bin home.  Bins
+    travel through two K x K grids of one-slot mailboxes, ``dist[x][y]`` out
+    and ``inv[y][x]`` back, and every cell is empty again when a round ends.
+    """
+
+    def __init__(self, cfg: Config) -> None:
+        self.cfg = cfg
+        num_sets = cfg.sets
+        self.perm = PermutationSpec(num_sets)
+        self.shards = [
+            BacklogShard(x, lo, hi, cfg.num_priority_bins)
+            for x, (lo, hi) in enumerate(_shard_ranges(cfg.num_nodes, num_sets))
+        ]
+        self.dist = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
+        self.inv = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
+        self.round_index = 0
+        self.allocated_slots = 0
+        self.circulation_ns: List[int] = []  # send-to-return time of every bin
+
+    def base_for(self, set_id: int, round_index: int) -> int:
+        return 1 + (round_index * self.cfg.sets + set_id) * self.cfg.batch_size
+
+    def step(self) -> List[AdmittedBatch]:
+        """Run one round; return its batches in slot order."""
+        cfg = self.cfg
+        perm = self.perm
+        r = self.round_index
+        for shard in self.shards:
+            x = shard.shard_id
+            target = perm.permute(x, r)
+            bin_ = Bin(origin=x, round_index=r, capacity=cfg.bin_capacity)
+            shard.fill_bin(bin_, self.base_for(target, r))
+            bin_.sent_ns = time.monotonic_ns()
+            self.dist[x][target].try_put(bin_)
+
+        batches: List[AdmittedBatch] = []
+        for y in range(cfg.sets):
+            bin_ = self.dist[perm.invert(y, r)][y].try_take()
+            # the cell was picked with invert(); check the bin with permute()
+            if bin_ is None or bin_.round_index != r or perm.permute(bin_.origin, r) != y:
+                got = "no bin" if bin_ is None else (
+                    f"shard {bin_.origin}'s bin of round {bin_.round_index}"
+                )
+                raise RuntimeError(f"inverse distributor gave alloc set {y} of round {r} {got}")
+            base = self.base_for(y, r)
+            alloc_process(bin_, BatchBitmaps(cfg.num_nodes, cfg.batch_size), base)
+            edges = postalloc_process(bin_, base)
+            batches.append(AdmittedBatch(base, cfg.batch_size, tuple(edges)))
+            self.allocated_slots += len(edges)
+            self.inv[y][bin_.origin].try_put(bin_)
+
+        for shard in self.shards:
+            x = shard.shard_id
+            bin_ = self.inv[perm.permute(x, r)][x].try_take()
+            self.circulation_ns.append(time.monotonic_ns() - bin_.sent_ns)
+            shard.absorb_return(bin_)
+        self.round_index += 1
+        return batches
+
+    def pending_slots(self) -> int:
+        return sum(shard.pending_slots() for shard in self.shards)
 
 
 def run_shuffle_deterministic(
@@ -227,84 +285,30 @@ def run_shuffle_deterministic(
     sink: Optional[BatchSink] = None,
 ) -> RunResult:
     """Single-thread replay of the full circulation, one bin per shard per round."""
-    num_sets = cfg.sets
-    batch = cfg.batch_size
-    perm = PermutationSpec(num_sets)
-    shards = [
-        BacklogShard(x, lo, hi, cfg.num_priority_bins)
-        for x, (lo, hi) in enumerate(_shard_ranges(cfg.num_nodes, num_sets))
-    ]
+    engine = ShuffleEngine(cfg)
     batches: List[AdmittedBatch] = []
-    collect = sink is None
-    emit = batches.append if collect else sink
+    emit = batches.append if sink is None else sink
 
     cursor = ArrivalCursor(arrivals)
     metrics = Metrics()
     slot_ns = cfg.slot_ns
 
-    def base_for(set_id: int, round_index: int) -> int:
-        return 1 + (round_index * num_sets + set_id) * batch
-
-    for round_index in range(max_rounds):
-        for demand in cursor.release((base_for(0, round_index) - 1) * slot_ns):
-            shards[shard_for_src(demand.src, cfg.num_nodes, num_sets)].ingest(demand)
+    for _ in range(max_rounds):
+        released = cursor.release((engine.base_for(0, engine.round_index) - 1) * slot_ns)
+        for demand in released:
+            engine.shards[shard_for_src(demand.src, cfg.num_nodes, cfg.sets)].ingest(demand)
             metrics.demanded_slots += demand.remaining
-        if metrics.demanded_slots == metrics.allocated_slots and cursor.exhausted:
+        if metrics.demanded_slots == engine.allocated_slots and cursor.exhausted:
             break
+        for batch in engine.step():
+            emit(batch)
 
-        routed: Dict[int, Bin] = {}
-        for shard in shards:
-            target = perm.permute(shard.shard_id, round_index)
-            bin_ = Bin(origin=shard.shard_id, round_index=round_index, capacity=cfg.bin_capacity)
-            shard.fill_bin(bin_, base_for(target, round_index))
-            routed[target] = bin_
-
-        for set_id in range(num_sets):
-            bin_ = routed[set_id]
-            base = base_for(set_id, round_index)
-            bitmaps = BatchBitmaps(cfg.num_nodes, batch)
-            alloc_process(bin_, bitmaps, base)
-            edges = postalloc_process(bin_, base)
-            emit(AdmittedBatch(base, batch, tuple(edges)))
-            metrics.allocated_slots += len(edges)
-            origin = perm.invert(set_id, round_index)
-            _check_origin(origin, bin_)
-            shards[origin].absorb_return(bin_)
-
-    metrics.pending_slots = sum(shard.pending_slots() for shard in shards)
+    metrics.allocated_slots = engine.allocated_slots
+    metrics.pending_slots = engine.pending_slots()
     metrics.lane_counters = {
-        "staging": [len(shard.staging) for shard in shards],
+        "staging": [len(shard.staging) for shard in engine.shards],
     }
     return RunResult(metrics, batches)
-
-
-# ---------------------------------------------------------------------------
-# Paced (threaded) driver
-# ---------------------------------------------------------------------------
-
-
-class _SlotOrderedEmitter:
-    """Re-orders concurrent postalloc emissions into slot order."""
-
-    def __init__(self, sink: BatchSink) -> None:
-        self.sink = sink
-        self._lock = threading.Lock()
-        self._heap: List[Tuple[int, AdmittedBatch]] = []
-        self._next = 0
-
-    def emit(self, batch_index: int, batch: AdmittedBatch) -> None:
-        with self._lock:
-            heapq.heappush(self._heap, (batch_index, batch))
-            while self._heap and self._heap[0][0] == self._next:
-                _, ready = heapq.heappop(self._heap)
-                self.sink(ready)
-                self._next += 1
-
-    def flush(self) -> None:
-        with self._lock:
-            while self._heap:
-                _, ready = heapq.heappop(self._heap)
-                self.sink(ready)
 
 
 #: Per-shard staging ceiling in paced mode; the ingest conduit backs up (and
@@ -312,192 +316,79 @@ class _SlotOrderedEmitter:
 _STAGING_HIGH_WATER = 8192
 
 
-class _BacklogLane(LaneThread):
-    def __init__(self, machine: "ShuffleMachine", shard: BacklogShard) -> None:
-        super().__init__(f"backlog-{shard.shard_id}", machine.stop_event, self.work)
-        self.m = machine
-        self.shard = shard
-        self.pool: Deque[Bin] = deque(
-            Bin(origin=shard.shard_id, capacity=machine.cfg.bin_capacity)
-            for _ in range(machine.cfg.bins_per_set)
-        )
-        self.outstanding: Deque[int] = deque()  # target set per sent round, FIFO
-        self.round_index = 0
-        self.sent_bins = 0
-        self.latencies: List[int] = []  # ns from send to return, per circulation
-
-    def _absorb_one(self, block: bool) -> bool:
-        if not self.outstanding:
-            return False
-        target = self.outstanding[0]
-        mailbox = self.m.inv_grid[target][self.shard.shard_id]
-        bin_ = mailbox.take(timeout=0.01) if block else mailbox.try_take()
-        if bin_ is None:
-            return False
-        self.latencies.append(time.monotonic_ns() - bin_.sent_ns)
-        self.outstanding.popleft()
-        self.shard.absorb_return(bin_)
-        self.pool.append(bin_)
-        return True
-
-    def work(self) -> None:
-        m = self.m
-        conduit = m.ingest_conduits[self.shard.shard_id]
-        while not m.stop_event.is_set():
-            while len(self.shard.staging) < _STAGING_HIGH_WATER:
-                demand = conduit.try_take()
-                if demand is None:
-                    break
-                self.shard.ingest(demand)
-            while self._absorb_one(block=False):
-                pass
-            if not self.pool:
-                self._absorb_one(block=True)
-                continue
-            bin_ = self.pool.popleft()
-            bin_.round_index = self.round_index
-            target = m.perm.permute(self.shard.shard_id, self.round_index)
-            self.shard.fill_bin(bin_, m.base_for(target, self.round_index))
-            mailbox = m.dist_grid[self.shard.shard_id][target]
-            bin_.sent_ns = time.monotonic_ns()
-            while not mailbox.put(bin_, timeout=0.01):
-                if m.stop_event.is_set():
-                    self.pool.appendleft(bin_)
-                    return
-            self.outstanding.append(target)
-            self.round_index += 1
-            self.sent_bins += 1
-
-
-class _AllocLane(LaneThread):
-    def __init__(self, machine: "ShuffleMachine", set_id: int) -> None:
-        super().__init__(f"alloc-{set_id}", machine.stop_event, self.work)
-        self.m = machine
-        self.set_id = set_id
-        self.round_index = 0
-        self.processed_bins = 0
-
-    def work(self) -> None:
-        m = self.m
-        cfg = m.cfg
-        while not m.stop_event.is_set():
-            src_shard = m.perm.invert(self.set_id, self.round_index)
-            bin_ = m.dist_grid[src_shard][self.set_id].take(timeout=0.01)
-            if bin_ is None:
-                continue
-            # the mailbox was picked with invert(); check the bin with permute()
-            if (
-                bin_.round_index != self.round_index
-                or m.perm.permute(bin_.origin, bin_.round_index) != self.set_id
-            ):
-                raise RuntimeError(
-                    f"alloc set {self.set_id} of round {self.round_index} took shard "
-                    f"{bin_.origin}'s bin of round {bin_.round_index}"
-                )
-            base = m.base_for(self.set_id, self.round_index)
-            bitmaps = BatchBitmaps(cfg.num_nodes, cfg.batch_size)
-            alloc_process(bin_, bitmaps, base)
-            while not m.to_post[self.set_id].put(bin_, timeout=0.01):
-                if m.stop_event.is_set():
-                    m.stash_orphan(bin_)
-                    return
-            self.round_index += 1
-            self.processed_bins += 1
-
-
-class _PostallocLane(LaneThread):
-    def __init__(self, machine: "ShuffleMachine", set_id: int) -> None:
-        super().__init__(f"postalloc-{set_id}", machine.stop_event, self.work)
-        self.m = machine
-        self.set_id = set_id
-        self.round_index = 0
-        self.allocated_slots = 0
-
-    def work(self) -> None:
-        m = self.m
-        while not m.stop_event.is_set():
-            bin_ = m.to_post[self.set_id].take(timeout=0.01)
-            if bin_ is None:
-                continue
-            base = m.base_for(self.set_id, self.round_index)
-            edges = postalloc_process(bin_, base)
-            self.allocated_slots += len(edges)
-            m.emitter.emit(
-                self.round_index * m.cfg.sets + self.set_id,
-                AdmittedBatch(base, m.cfg.batch_size, tuple(edges)),
-            )
-            origin = m.perm.invert(self.set_id, self.round_index)
-            _check_origin(origin, bin_)
-            while not m.inv_grid[self.set_id][origin].put(bin_, timeout=0.01):
-                if m.stop_event.is_set():
-                    m.stash_orphan(bin_)
-                    return
-            self.round_index += 1
+def _circulation_stats(samples_ns: Sequence[int]) -> Dict[str, float]:
+    """Mean, p50 and p99 of circulation times, in microseconds."""
+    flat = sorted(samples_ns)
+    return {
+        "mean_us": sum(flat) / len(flat) / 1000.0,
+        "p50_us": flat[len(flat) // 2] / 1000.0,
+        "p99_us": flat[min(len(flat) - 1, int(len(flat) * 0.99))] / 1000.0,
+    }
 
 
 class ShuffleMachine:
-    """Paced shuffle driver: K backlog lanes plus an alloc/postalloc pair per set."""
+    """Paced shuffle: one thread steps the engine.
+
+    Each pass moves demands from the per-shard ingest conduits into the
+    shards, at most up to ``_STAGING_HIGH_WATER`` staged each, and runs one
+    round.
+    """
 
     def __init__(self, cfg: Config, sink: BatchSink) -> None:
         self.cfg = cfg
-        num_sets = cfg.sets
-        self.perm = PermutationSpec(num_sets)
+        self.sink = sink
+        self.engine = ShuffleEngine(cfg)
+        self.ingest_conduits = [SpscQueue(cfg.mailbox_depth) for _ in range(cfg.sets)]
         self.stop_event = threading.Event()
-        self.emitter = _SlotOrderedEmitter(sink)
-        self.ingest_conduits = [SpscQueue(cfg.mailbox_depth) for _ in range(num_sets)]
-        self.dist_grid = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
-        self.inv_grid = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
-        self.to_post = [Mailbox() for _ in range(num_sets)]
-        self.shards = [
-            BacklogShard(x, lo, hi, cfg.num_priority_bins)
-            for x, (lo, hi) in enumerate(_shard_ranges(cfg.num_nodes, num_sets))
-        ]
-        self.backlog_lanes = [_BacklogLane(self, shard) for shard in self.shards]
-        self.alloc_lanes = [_AllocLane(self, s) for s in range(num_sets)]
-        self.postalloc_lanes = [_PostallocLane(self, s) for s in range(num_sets)]
-        self.lanes = self.backlog_lanes + self.alloc_lanes + self.postalloc_lanes
-        self._orphans: List[Bin] = []
-        self._orphan_lock = threading.Lock()
+        self.runner = LaneThread("shuffle", self.stop_event, target=self._run)
 
-    def base_for(self, set_id: int, round_index: int) -> int:
-        return 1 + (round_index * self.cfg.sets + set_id) * self.cfg.batch_size
-
-    def stash_orphan(self, bin_: Bin) -> None:
-        with self._orphan_lock:
-            self._orphans.append(bin_)
+    def _run(self) -> None:
+        engine = self.engine
+        feeds = list(zip(engine.shards, self.ingest_conduits))
+        while not self.stop_event.is_set():
+            for shard, conduit in feeds:
+                while len(shard.staging) < _STAGING_HIGH_WATER:
+                    demand = conduit.try_take()
+                    if demand is None:
+                        break
+                    shard.ingest(demand)
+            idle = not any(shard.staging for shard in engine.shards)
+            for batch in engine.step():
+                self.sink(batch)
+            # Yield once per round so the generators can refill the conduits;
+            # rest for 100 us when there was nothing to allocate.
+            time.sleep(0.0001 if idle else 0)
 
     def push(self, demand: Demand) -> bool:
         shard = shard_for_src(demand.src, self.cfg.num_nodes, self.cfg.sets)
         return self.ingest_conduits[shard].try_put(demand)
 
     def allocated_slots(self) -> int:
-        return sum(lane.allocated_slots for lane in self.postalloc_lanes)
+        return self.engine.allocated_slots
 
     def start(self) -> None:
-        for lane in self.lanes:
-            lane.start()
+        self.runner.start()
 
     def stop_and_join(self) -> None:
-        join_lanes(self.stop_event, self.lanes)
-        self.emitter.flush()
+        join_lanes(self.stop_event, [self.runner])
 
     def pending_slots(self) -> int:
-        pending = sum(shard.pending_slots() for shard in self.shards)
-        for conduit in self.ingest_conduits:
-            pending += sum(d.remaining for d in conduit.snapshot())
-        bins: List[Bin] = list(self._orphans)
-        for lane in self.backlog_lanes:
-            bins.extend(lane.pool)
-        mailboxes = [mb for grid in (self.dist_grid, self.inv_grid) for row in grid for mb in row]
-        bins.extend(mb.peek() for mb in mailboxes + self.to_post if mb.full)
-        return pending + sum(bin_.pending_slots() for bin_ in bins)
+        queued = sum(d.remaining for c in self.ingest_conduits for d in c.snapshot())
+        return queued + self.engine.pending_slots()
 
     def lane_counters(self) -> dict:
-        return {
-            "sent_bins": [lane.sent_bins for lane in self.backlog_lanes],
-            "processed_bins": [lane.processed_bins for lane in self.alloc_lanes],
-            "allocated": [lane.allocated_slots for lane in self.postalloc_lanes],
+        engine = self.engine
+        counters = {
+            "rounds": engine.round_index,
+            "emitted_batches": engine.round_index * self.cfg.sets,
+            "allocated": engine.allocated_slots,
+            "circulations": len(engine.circulation_ns),
         }
+        if engine.circulation_ns:
+            stats = _circulation_stats(engine.circulation_ns)
+            counters["circulation_p50_us"] = stats["p50_us"]
+            counters["circulation_p99_us"] = stats["p99_us"]
+        return counters
 
 
 # ---------------------------------------------------------------------------
@@ -519,51 +410,30 @@ def bench_distributor(
 ) -> Dict[str, float]:
     """Measure bin circulation latency through backlog -> alloc -> postalloc.
 
-    Runs a real ShuffleMachine with one bin per set.  A standing backlog of
-    ``entries_per_bin`` distinct pairs per shard keeps every bin full, and
-    each backlog lane records the send-to-return time of its bin.  The first
-    ``circulations`` samples of every set make up the returned latency stats,
-    in microseconds.
-
-    The interpreter's thread switch interval is dropped for the duration of
-    the bench: the default 5 ms quantum would swamp the handoffs being
-    measured.
+    Steps a ShuffleEngine ``circulations`` rounds.  A standing backlog of
+    ``entries_per_bin`` distinct pairs per shard keeps every bin full, and the
+    engine records the send-to-return time of every bin.  Returns the latency
+    stats of all ``circulations * num_sets`` samples, in microseconds.
     """
     cfg = Config(
         num_nodes,
         architecture=Architecture.SHUFFLE,
         batch_size=batch_size,
         sets=num_sets,
-        bins_per_set=1,
         bin_capacity=entries_per_bin,
     )
-    machine = ShuffleMachine(cfg, lambda batch: None)
-    for shard in machine.shards:
+    engine = ShuffleEngine(cfg)
+    for shard in engine.shards:
         width = shard.src_hi - shard.src_lo
         for i in range(entries_per_bin):
             src = shard.src_lo + i % width
             shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
-    lanes = machine.backlog_lanes
-    prev_interval = sys.getswitchinterval()
-    sys.setswitchinterval(0.0002)
-    try:
-        machine.start()
-        # a lane that raises sets the stop event; stop_and_join re-raises
-        stop = machine.stop_event
-        while not stop.is_set() and any(len(lane.latencies) < circulations for lane in lanes):
-            time.sleep(0.001)
-    finally:
-        machine.stop_and_join()
-        sys.setswitchinterval(prev_interval)
-
-    flat = sorted(lat for lane in lanes for lat in lane.latencies[:circulations])
-    if not flat:
+    for _ in range(circulations):
+        engine.step()
+    if not engine.circulation_ns:
         raise RuntimeError("distributor bench produced no samples")
-    mean_ns = sum(flat) / len(flat)
     return {
         "sets": float(num_sets),
-        "circulations": float(len(flat)),
-        "mean_us": mean_ns / 1000.0,
-        "p50_us": flat[len(flat) // 2] / 1000.0,
-        "p99_us": flat[min(len(flat) - 1, int(len(flat) * 0.99))] / 1000.0,
+        "circulations": float(len(engine.circulation_ns)),
+        **_circulation_stats(engine.circulation_ns),
     }

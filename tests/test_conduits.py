@@ -75,13 +75,6 @@ class TestMailbox:
         assert mb.try_put(payload)
         assert mb.try_take() is payload
 
-    def test_peek_leaves_value(self):
-        mb = Mailbox()
-        assert mb.peek() is None
-        mb.try_put("a")
-        assert mb.peek() == "a" and mb.full
-        assert mb.try_take() == "a"
-
     def test_second_put_refused_until_taken(self):
         mb = Mailbox()
         assert mb.try_put("a")

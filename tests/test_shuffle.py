@@ -277,6 +277,14 @@ class TestPaced:
         assert sink.out_of_order == 0
         assert m.allocated_slots > 0
 
+    def test_reports_rounds_and_circulation_latency(self):
+        spec = WorkloadSpec(seed=8, num_nodes=64, mean_interarrival_ns=500_000)
+        result, _ = run_paced(cfg(sets=2), spec, 0.4)
+        counters = result.metrics.lane_counters
+        assert counters["rounds"] > 0
+        assert counters["emitted_batches"] == counters["circulations"] == 2 * counters["rounds"]
+        assert counters["allocated"] == result.metrics.allocated_slots
+        assert 0 < counters["circulation_p50_us"] <= counters["circulation_p99_us"]
 
     def test_alloc_lane_checks_its_routing(self, monkeypatch):
         # invert() both picks the alloc lane's mailbox and names the origin the

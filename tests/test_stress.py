@@ -117,7 +117,7 @@ MACHINES = {
 
 
 def machine_cfg(arch, **kw):
-    return Config(num_nodes=32, batch_size=8, architecture=arch, **MACHINES[arch][0], **kw)
+    return Config(num_nodes=32, batch_size=8, architecture=arch, **{**MACHINES[arch][0], **kw})
 
 
 class TestPacedMachines:
@@ -156,11 +156,19 @@ class TestPacedMachines:
         assert machine.pending_slots() == pending
         assert demanded == machine.allocated_slots() + pending
 
-    @pytest.mark.parametrize("arch", [Architecture.PIPELINED, Architecture.PARALLEL],
-                             ids=lambda a: a.value)
-    def test_one_engine_thread(self, arch):
+    @pytest.mark.parametrize(
+        "arch, kw",
+        [
+            (Architecture.PIPELINED, {}),
+            (Architecture.PARALLEL, {}),
+            (Architecture.SHUFFLE, {"sets": 1}),
+            (Architecture.SHUFFLE, {"sets": 2}),
+        ],
+        ids=["pipelined", "parallel", "shuffle-1", "shuffle-2"],
+    )
+    def test_one_engine_thread(self, arch, kw):
         before = set(threading.enumerate())
-        machine = _build_machine(machine_cfg(arch), lambda batch: None)
+        machine = _build_machine(machine_cfg(arch, **kw), lambda batch: None)
         machine.start()
         try:
             assert len([t for t in threading.enumerate() if t not in before]) == 1
