@@ -19,15 +19,9 @@ from .model import (
     throughput_bps,
     timeslot_duration,
 )
-from .kernel import (
-    GreedyKernel,
-    PriorityBins,
-    allocate_batch,
-    bin_index,
-    first_free_slot,
-    lru_order,
-)
+from .kernel import GreedyKernel, first_free_slot, lru_order
 from .oracle import (
+    bin_index,
     canonical_order,
     oracle_allocate,
     oracle_replay,
@@ -72,7 +66,6 @@ __all__ = [
     "GreedyKernel",
     "Metrics",
     "PermutationSpec",
-    "PriorityBins",
     "RunResult",
     "SearchError",
     "SearchResult",
@@ -80,7 +73,6 @@ __all__ = [
     "VerifyingSink",
     "WorkloadSpec",
     "WorkloadStream",
-    "allocate_batch",
     "auto_search",
     "bench_distributor",
     "bin_index",

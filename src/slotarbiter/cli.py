@@ -90,6 +90,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     if args.trace_in:
         arrivals = replay_trace(args.trace_in)
+        outside = next((a for a in arrivals if max(a.src, a.dst) >= args.nodes), None)
+        if outside is not None:
+            node = max(outside.src, outside.dst)
+            print(f"error: trace names node {node}, but --nodes is {args.nodes}", file=sys.stderr)
+            return 2
         result = run_deterministic(cfg, arrivals)
         if args.admitted_out:
             _write_admitted(args.admitted_out, result.batches)

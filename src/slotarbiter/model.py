@@ -37,7 +37,7 @@ class AllocationMode(Enum):
     """How much of a batch a drained demand may claim in one visit.
 
     PER_SLOT gives one timeslot per drain and parks the survivor in the
-    allocator's extra bins; BATCH gives up to a full batch in one visit and
+    allocator's extra lists; BATCH gives up to a full batch in one visit and
     emits the survivor immediately.
     """
 
@@ -174,7 +174,6 @@ class Config:
     architecture: Architecture = Architecture.PIPELINED
     mode: AllocationMode = AllocationMode.BATCH
     batch_size: int = 8
-    num_priority_bins: int = 32
     link_rate_bps: int = 10 * 10**9
     mtu_bytes: int = 1500
     cores: int = 1
@@ -192,8 +191,6 @@ class Config:
             raise ConfigError(
                 f"batch_size must be one of {VALID_BATCH_SIZES}, got {self.batch_size}"
             )
-        if self.num_priority_bins < 1:
-            raise ConfigError("num_priority_bins must be >= 1")
         if self.mtu_bytes <= 0 or self.link_rate_bps <= 0:
             raise ConfigError("mtu_bytes and link_rate_bps must be positive")
         for name in ("cores", "lanes", "sets", "bin_capacity"):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .kernel import bin_index
 from .model import AdmittedBatch, AllocationMode, Demand
 
 
@@ -62,7 +61,7 @@ def oracle_allocate(
 
     BATCH mode: each demand takes as many free slots as it can (up to the
     batch width) in one visit, then its survivor joins the remainders.
-    PER_SLOT mode mirrors the extra-bin procedure: one slot per visit, the
+    PER_SLOT mode mirrors the kernel's extra lists: one slot per visit, the
     survivor parks in the extra list of that slot, and the extra lists drain
     in ascending slot order afterwards; survivors that still hold slots flush
     last, in extra order.  Remainders come back in that exact flow order.
@@ -147,6 +146,20 @@ def verify_maximal(
         if free:
             return MaximalityWitness(demand, batch.base_slot + free[0])
     return None
+
+
+def bin_index(last_alloc: int, current: int, num_bins: int = 32) -> int:
+    """Coarse LRU bin for a demand: larger allocation gap, higher priority.
+
+    bin = (num_bins - 1) - min(gap, num_bins - 1), so a just-allocated demand
+    (gap 0) lands in the lowest-priority bin and anything starved for at
+    least num_bins - 1 slots lands in bin 0.
+    """
+    gap = current - last_alloc
+    if gap < 0:
+        raise ValueError(f"last_alloc {last_alloc} is ahead of current {current}")
+    top = num_bins - 1
+    return top - min(gap, top)
 
 
 def canonical_order(pending: Sequence[Demand], current: int, num_bins: int = 32) -> List[Demand]:

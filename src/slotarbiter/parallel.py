@@ -157,7 +157,7 @@ class Lane:
     def allocate(self, base_slot: int, fresh: Sequence[Demand]) -> LaneAdmission:
         """Greedy batch-style pass over the pending set in LRU order."""
         self.pending.extend(fresh)
-        ordered = lru_order(self.pending, base_slot, self.cfg.num_priority_bins)
+        ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
         records: List[AllocationRecord] = []

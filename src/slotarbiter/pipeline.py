@@ -53,7 +53,7 @@ class PipelineRing:
         self.batch = cfg.batch_size
         self.contexts = [
             _Context(
-                GreedyKernel(cfg.num_nodes, cfg.batch_size, cfg.num_priority_bins, cfg.mode),
+                GreedyKernel(cfg.num_nodes, cfg.batch_size, cfg.mode),
                 base_slot=1 + i * cfg.batch_size,
             )
             for i in range(cfg.cores)
@@ -86,7 +86,7 @@ class PipelineRing:
                 feed.append(ctx.in_q.popleft()[1])
             if pos == self.ingest_pos:
                 feed.extend(fresh)
-            if feed or not ctx.kernel.bins.is_empty():
+            if feed or not ctx.kernel.is_empty():
                 ctx.kernel.ingest(feed)
                 result = ctx.kernel.sweep()
                 self.position_drained[pos] += result.drained

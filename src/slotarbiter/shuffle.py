@@ -83,11 +83,10 @@ class BacklogShard:
     completes.
     """
 
-    def __init__(self, shard_id: int, src_lo: int, src_hi: int, num_bins: int = 32) -> None:
+    def __init__(self, shard_id: int, src_lo: int, src_hi: int) -> None:
         self.shard_id = shard_id
         self.src_lo = src_lo
         self.src_hi = src_hi
-        self.num_bins = num_bins
         self.table: Dict[Tuple[int, int], PairState] = {}
         self.staging: List[Demand] = []
         self.ingested_slots = 0
@@ -118,7 +117,7 @@ class BacklogShard:
         The staging list is put in ``lru_order`` for ``current_base``: the
         bin takes its head and the rest stays staged in that order.
         """
-        ordered = lru_order(self.staging, current_base, self.num_bins)
+        ordered = lru_order(self.staging, current_base)
         take = ordered[: bin_.capacity]
         bin_.entries = take
         bin_.result_bits = [0] * len(take)
@@ -225,7 +224,7 @@ class ShuffleEngine:
         num_sets = cfg.sets
         self.perm = PermutationSpec(num_sets)
         self.shards = [
-            BacklogShard(x, lo, hi, cfg.num_priority_bins)
+            BacklogShard(x, lo, hi)
             for x, (lo, hi) in enumerate(_shard_ranges(cfg.num_nodes, num_sets))
         ]
         self.dist = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]

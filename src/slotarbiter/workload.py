@@ -187,7 +187,11 @@ def record_trace(arrivals: Sequence[Arrival], path: str) -> None:
 
 
 def replay_trace(path: str) -> List[Arrival]:
-    """Load a trace CSV; raises TraceFormatError with the offending line."""
+    """Load a trace CSV; raises TraceFormatError with the offending line.
+
+    Rows must name two distinct non-negative node ids and a size of at least
+    one packet.  Whether the ids fit a node count is the caller's to check.
+    """
     arrivals: List[Arrival] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -205,7 +209,10 @@ def replay_trace(path: str) -> List[Arrival]:
                 arrival = Arrival(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
             except ValueError as exc:
                 raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            if arrival.src == arrival.dst:
-                raise TraceFormatError(f"line {lineno}: src == dst == {arrival.src}")
+            if not 0 <= arrival.src != arrival.dst >= 0 < arrival.size:
+                raise TraceFormatError(
+                    f"line {lineno}: need src != dst, both >= 0, and size_packets >= 1; "
+                    f"got src {arrival.src}, dst {arrival.dst}, size_packets {arrival.size}"
+                )
             arrivals.append(arrival)
     return arrivals

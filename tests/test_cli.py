@@ -78,6 +78,23 @@ class TestRunDeterministic:
         assert rc == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_zero_size_row_reports_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("arrival_ns,src,dst,size_packets\n0,1,2,1\n0,3,4,0\n")
+        rc = main(["run", "--nodes", "8", "--trace-in", str(bad)])
+        assert rc == 2
+        assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0,1,8,1", "0,9,2,1"])
+    def test_node_outside_nodes_rejected(self, tmp_path, capsys, row):
+        bad = tmp_path / "bad.csv"
+        admitted = tmp_path / "admitted.csv"
+        bad.write_text(f"arrival_ns,src,dst,size_packets\n0,1,2,1\n{row}\n")
+        rc = main(["run", "--nodes", "8", "--trace-in", str(bad), "--admitted-out", str(admitted)])
+        assert rc == 2
+        assert "--nodes is 8" in capsys.readouterr().err
+        assert not admitted.exists()
+
 
 class TestTraceOut:
     def test_generates_replayable_trace(self, tmp_path):

@@ -12,11 +12,8 @@ from hypothesis import strategies as st
 import slotarbiter
 from slotarbiter import (
     AllocationMode,
-    BatchBitmaps,
     Demand,
     GreedyKernel,
-    PriorityBins,
-    allocate_batch,
     bin_index,
     canonical_order,
     first_free_slot,
@@ -114,36 +111,41 @@ class TestLruOrder:
 
 
 class TestSortIntoBins:
+    """The kernel drains its pending demands in LRU order."""
+
+    @staticmethod
+    def _drain_order(demands, base_slot):
+        kernel = GreedyKernel(8, 8)
+        kernel.reset(base_slot)
+        kernel.ingest(demands)
+        result = kernel.sweep()
+        kernel.finish()
+        # disjoint pairs never contend, so the edges list the pairs in drain order
+        return list(dict.fromkeys((s, d) for _, s, d in result.edges))
+
     def test_gap_order(self):
-        bins = PriorityBins(32, 8)
-        starved = Demand(1, 2, 5, last_alloc=0)
         recent = Demand(3, 4, 5, last_alloc=40)
-        for d in (starved, recent):
-            bins.insert(d, current=40)
-        assert starved in bins.coarse[0]
-        assert recent in bins.coarse[31]
+        starved = Demand(1, 2, 5, last_alloc=0)
+        assert self._drain_order([recent, starved], 40) == [(1, 2), (3, 4)]
 
     def test_empty_input_no_change(self):
         kernel = GreedyKernel(4, 8)
         kernel.ingest([])
-        assert kernel.bins.is_empty()
+        assert kernel.is_empty()
 
     def test_fifo_within_bin(self):
-        bins = PriorityBins(32, 8)
         a = Demand(1, 2, 5)
         b = Demand(3, 4, 5)
-        for d in (a, b):
-            bins.insert(d, current=1)
-        idx = bin_index(0, 1)
-        assert list(bins.coarse[idx]) == [a, b]
+        c = Demand(5, 6, 5)
+        assert self._drain_order([a, b, c], 1) == [(1, 2), (3, 4), (5, 6)]
+        assert self._drain_order([c, b, a], 1) == [(5, 6), (3, 4), (1, 2)]
 
 
 def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):
-    bins = PriorityBins(32, batch_size)
-    for d in demands:
-        bins.insert(d, base_slot)
-    bitmaps = BatchBitmaps(num_nodes, batch_size)
-    return allocate_batch(bins, bitmaps, mode, base_slot), bins
+    kernel = GreedyKernel(num_nodes, batch_size, mode)
+    kernel.reset(base_slot)
+    kernel.ingest(demands)
+    return kernel.sweep(), kernel
 
 
 class TestAllocateBatch:

@@ -74,7 +74,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = Config(num_nodes=256)
         assert cfg.batch_size == 8
-        assert cfg.num_priority_bins == 32
         assert cfg.slot_ns == 1200
 
     def test_batch_size_validated(self):

@@ -1,16 +1,22 @@
 """What the traced benchmark in ``perfbench/`` needs from the package.
 
 ``perfbench/layers.py`` patches slotarbiter's functions and methods by name,
-and its ``conduits.mailbox_ns_per_handoff.*`` metrics divide the Mailbox
-handoff time of paced runs by their handoff count.  A patched name that is
-gone, or paced runs that hand no bin through a Mailbox, make
+and its per-layer metrics divide what those patches record by a count: the
+kernel's by the sweeps, finishes and drained demands of the pipelined replay
+and by the ``allocate_slots`` calls of the shuffle replay, and
+``conduits.mailbox_ns_per_handoff.*`` by the Mailbox handoffs of paced runs.
+A patched name that is gone, or a count that stays 0, makes
 ``perfbench/run.py --trace 1`` exit 1; these tests fail first.
 """
 
 from pathlib import Path
 
-from slotarbiter import Architecture, Config, conduits, run_paced
+import pytest
+
+from slotarbiter import Architecture, Config, conduits, run_deterministic, run_paced
 from slotarbiter.workload import WorkloadSpec
+
+from conftest import make_trace
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -30,6 +36,39 @@ def test_layers_install_finds_every_name_and_uninstall_restores(monkeypatch):
     assert patched
     for owner, attr, original in patched:
         assert vars(owner)[attr] is original, (owner, attr)
+
+
+@pytest.fixture
+def traced_replays(monkeypatch):
+    """Replay a small trace under every bench replay config, traced as ``run.py`` does."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import bench
+    import layers
+    from tracer import Tracer
+
+    trace = make_trace(4, 300, 32, unique_pairs=False)
+    tr = Tracer()
+    try:
+        layers.install(tr)
+        for name, cfg in bench.replay_configs(32).items():
+            tr.phase = f"replay:{name}"
+            run_deterministic(cfg, trace)
+    finally:
+        tr.uninstall()
+    return tr.merged()
+
+
+@pytest.mark.parametrize("phase", ["replay:pipelined", "replay:pipelined_per_slot"])
+def test_pipelined_replay_feeds_the_kernel_metrics(traced_replays, phase):
+    agg, sums, _ = traced_replays
+    assert agg[(phase, "kernel.sweep")].calls > 0
+    assert agg[(phase, "kernel.finish")].calls > 0
+    assert sums[(phase, "kernel.drained")] > 0
+
+
+def test_shuffle_replay_calls_allocate_slots(traced_replays):
+    agg, _, _ = traced_replays
+    assert agg[("replay:shuffle", "kernel.allocate_slots")].calls > 0
 
 
 def test_paced_shuffle_hands_bins_through_mailboxes(monkeypatch):

@@ -126,3 +126,15 @@ class TestTraceRoundTrip:
         path.write_text("arrival_ns,src,dst,size_packets\n0,2,2,1\n")
         with pytest.raises(TraceFormatError, match="line 2"):
             replay_trace(str(path))
+
+    @pytest.mark.parametrize("row,got", [
+        ("5,1,2,0", "src 1, dst 2, size_packets 0"),
+        ("5,1,2,-3", "src 1, dst 2, size_packets -3"),
+        ("5,-1,3,1", "src -1, dst 3, size_packets 1"),
+        ("5,3,-1,1", "src 3, dst -1, size_packets 1"),
+    ])
+    def test_out_of_range_row_reports_line(self, tmp_path, row, got):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"arrival_ns,src,dst,size_packets\n0,1,2,3\n{row}\n")
+        with pytest.raises(TraceFormatError, match=f"^line 3: .*; got {got}$"):
+            replay_trace(str(path))
