@@ -16,8 +16,11 @@ exist:
   this kernel.
 
 ``lru_order`` is the one LRU rule in the package: the pipeline contexts, the
-parallel lanes and the shuffle shards all drain in its order, and
-``allocate_slots``, the batch-style claim of one demand, serves all three.
+parallel lanes and the shuffle shards all drain in its order.
+``allocate_slots`` is the one greedy pass, and all three call it once per
+sweep, lane batch or bin: it claims slots for a whole ordered demand list and
+returns one mask of claimed offsets per demand, and the caller builds the
+survivors from the masks.
 """
 
 from __future__ import annotations
@@ -74,29 +77,41 @@ class SweepResult:
 
 
 def allocate_slots(
-    bitmaps: BatchBitmaps, demand: Demand, base_slot: int
-) -> Tuple[List[int], Optional[Demand]]:
-    """Batch-style allocation of one demand against the bitmaps.
+    bitmaps: BatchBitmaps, demands: Sequence[Demand], edges: List[Tuple[int, int, int]]
+) -> List[int]:
+    """One greedy pass: each demand, in the given order, claims its lowest
+    offsets free in both its source's and its destination's row, up to its
+    remaining count.
 
-    Claims the lowest joint-free offsets of the batch, up to the demand's
-    remaining count.  Returns the claimed offsets and the surviving demand,
-    or None if it was fully satisfied.
+    Clears every claim from the rows, appends ``(offset, src, dst)`` to
+    ``edges`` in demand order and then ascending offset, and returns one mask
+    of claimed offsets per demand (0 for a demand that got nothing).
     """
-    joint = bitmaps.joint_free(demand.src, demand.dst)
-    need = demand.remaining
-    offsets: List[int] = []
-    while joint and need:
-        offset = (joint & -joint).bit_length() - 1
-        bitmaps.claim(demand.src, demand.dst, offset)
-        offsets.append(offset)
-        joint &= joint - 1
-        need -= 1
-    if not offsets:
-        return offsets, demand
-    left = demand.remaining - len(offsets)
-    if left == 0:
-        return offsets, None
-    return offsets, Demand(demand.src, demand.dst, left, base_slot + offsets[-1])
+    src_rows = bitmaps.src
+    dst_rows = bitmaps.dst
+    masks: List[int] = []
+    add_mask = masks.append
+    add_edge = edges.append
+    for demand in demands:
+        src = demand.src
+        dst = demand.dst
+        mask = src_rows[src] & dst_rows[dst]
+        if mask:
+            need = demand.remaining
+            if need < mask.bit_count():
+                above = mask
+                for _ in range(need):
+                    above &= above - 1
+                mask ^= above  # the lowest ``need`` joint-free offsets
+            src_rows[src] ^= mask
+            dst_rows[dst] ^= mask
+            bits = mask
+            while bits:
+                low = bits & -bits
+                add_edge((low.bit_length() - 1, src, dst))
+                bits ^= low
+        add_mask(mask)
+    return masks
 
 
 class GreedyKernel:
@@ -161,15 +176,16 @@ class GreedyKernel:
         edges = result.edges
         outflow = result.outflow
         if self.mode is AllocationMode.BATCH:
-            for demand in ordered:
-                offsets, survivor = allocate_slots(bitmaps, demand, base_slot)
-                if not offsets:
+            masks = allocate_slots(bitmaps, ordered, edges)
+            for demand, mask in zip(ordered, masks):
+                if not mask:
                     outflow.append(demand)
                     continue
-                for offset in offsets:
-                    edges.append((offset, demand.src, demand.dst))
-                if survivor is not None:
-                    outflow.append(survivor)
+                left = demand.remaining - mask.bit_count()
+                if left:
+                    outflow.append(
+                        Demand(demand.src, demand.dst, left, base_slot + mask.bit_length() - 1)
+                    )
         else:
             extra = self.extra
 

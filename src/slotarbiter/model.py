@@ -119,10 +119,6 @@ class BatchBitmaps:
         self.src = [self.full] * num_nodes
         self.dst = [self.full] * num_nodes
 
-    def joint_free(self, src: int, dst: int) -> int:
-        """AND of the source-role and destination-role rows."""
-        return self.src[src] & self.dst[dst]
-
     def claim(self, src: int, dst: int, offset: int) -> None:
         bit = ~(1 << offset)
         self.src[src] &= bit

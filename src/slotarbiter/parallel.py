@@ -2,9 +2,10 @@
 
 Lanes hold private bitmaps and their own pending demands; incoming demands
 are dealt round-robin to the lanes and stay in their lane for life.  Each
-batch a lane visits its pending set in the system-wide LRU order
+batch a lane puts its pending set in the system-wide LRU order
 (``kernel.lru_order``, the order the oracle's ``canonical_order`` sorts
-into) and claims slots for each demand with the kernel's ``allocate_slots``.
+into) and claims slots for all of it in one ``kernel.allocate_slots`` pass,
+whose per-demand masks become the lane's allocation records.
 Because the bitmaps are private, two lanes can admit edges that contend on a
 source or destination; the reconciliation stage keeps the lowest-lane claim
 for every contended (slot, role, node) and cancels the rest.  Cancelled slots
@@ -160,14 +161,22 @@ class Lane:
         ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
+        masks = allocate_slots(bitmaps, ordered, edges)
         records: List[AllocationRecord] = []
         unserved: List[Demand] = []
-        for demand in ordered:
-            offsets, residual = allocate_slots(bitmaps, demand, base_slot)
-            if not offsets:
+        claimed = 0  # the edges of a served demand follow its predecessors'
+        for demand, mask in zip(ordered, masks):
+            if not mask:
                 unserved.append(demand)
                 continue
-            edges.extend((offset, demand.src, demand.dst) for offset in offsets)
+            granted = mask.bit_count()
+            offsets = [edge[0] for edge in edges[claimed:claimed + granted]]
+            claimed += granted
+            left = demand.remaining - granted
+            residual = (
+                Demand(demand.src, demand.dst, left, base_slot + mask.bit_length() - 1)
+                if left else None
+            )
             records.append(
                 AllocationRecord(demand.src, demand.dst, offsets, demand.last_alloc, residual)
             )

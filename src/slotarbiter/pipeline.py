@@ -2,11 +2,11 @@
 
 The context at the head of the ring holds the oldest batch.  Fresh demands
 enter at the ingest position (the head, or mid-ring).  Every context feeds
-its inbound queue to its kernel, sweeps it and forwards survivors to the
-neighbour handling the next batch.  When the head completes its tenure it
-emits its admitted batch, re-seeds at the tail with fresh bitmaps, and the
-next context becomes head.  Forwarded demands are tagged with the first
-batch allowed to consider them, so a survivor forwarded at batch b is never
+its inbound queue to its kernel, sweeps it and forwards its survivors, as one
+list, to the neighbour handling the next batch.  When the head completes its
+tenure it emits its admitted batch, re-seeds at the tail with fresh bitmaps,
+and the next context becomes head.  Each forwarded list is tagged with the first
+batch allowed to consider it, so a survivor forwarded at batch b is never
 drained before b + 1.
 
 ``PipelineRing`` holds that state and its three steps (sweep, rotate,
@@ -43,7 +43,7 @@ _INFLIGHT_SLOT_LIMIT = 262_144
 class _Context:
     kernel: GreedyKernel
     base_slot: int
-    in_q: Deque[Tuple[int, Demand]] = field(default_factory=deque)
+    in_q: Deque[Tuple[int, List[Demand]]] = field(default_factory=deque)
 
 
 class PipelineRing:
@@ -66,10 +66,11 @@ class PipelineRing:
         self.position_drained = [0] * cfg.cores
         self.allocated_slots = 0
 
-    def _forward(self, idx: int, demands: Sequence[Demand]) -> None:
+    def _forward(self, idx: int, demands: List[Demand]) -> None:
         """Hand survivors of context ``idx`` to its successor, for the next batch."""
-        tag = self.contexts[idx].base_slot + self.batch
-        self.contexts[(idx + 1) % len(self.contexts)].in_q.extend((tag, d) for d in demands)
+        if demands:
+            tag = self.contexts[idx].base_slot + self.batch
+            self.contexts[(idx + 1) % len(self.contexts)].in_q.append((tag, demands))
 
     def sweep(self, fresh: Sequence[Demand]) -> bool:
         """One pass over the ring, head first; ``fresh`` enters at the ingest position.
@@ -83,7 +84,7 @@ class PipelineRing:
             ctx = self.contexts[idx]
             feed: List[Demand] = []
             while ctx.in_q and ctx.in_q[0][0] <= ctx.base_slot:
-                feed.append(ctx.in_q.popleft()[1])
+                feed.extend(ctx.in_q.popleft()[1])
             if pos == self.ingest_pos:
                 feed.extend(fresh)
             if feed or not ctx.kernel.is_empty():
@@ -118,12 +119,14 @@ class PipelineRing:
             ctx = self.contexts[(self.head + pos) % num_ctx]
             admitted, flush = ctx.kernel.finish()
             closed.append(admitted)
-            ctx.in_q.extend((ctx.base_slot, demand) for demand in flush)
+            if flush:
+                ctx.in_q.append((ctx.base_slot, flush))
         return closed
 
     def pending_slots(self) -> int:
         return sum(
-            ctx.kernel.pending_slots() + sum(d.remaining for _, d in ctx.in_q)
+            ctx.kernel.pending_slots()
+            + sum(d.remaining for _, demands in ctx.in_q for d in demands)
             for ctx in self.contexts
         )
 

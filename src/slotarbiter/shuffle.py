@@ -2,8 +2,9 @@
 
 Backlog shards hold the per-(src, dst) dedup table for a contiguous slice of
 the source space and fill demands into fixed-capacity bins in LRU order.
-Round r sends shard x's bin to alloc set (A*x + B) mod K; the set scans the
-bin against fresh bitmaps and fills the result bits (``alloc_process``), then
+Round r sends shard x's bin to alloc set (A*x + B) mod K; the set claims
+slots for the whole bin in one ``kernel.allocate_slots`` pass against fresh
+bitmaps, whose per-entry masks are the result bits (``alloc_process``), then
 splits spent from remaining entries and emits the admitted edges
 (``postalloc_process``), and the inverse distributor carries the bin back to
 its origin shard based on the same round's parameters.
@@ -61,11 +62,6 @@ class Bin:
         self.completed = []
         self.remainders = []
 
-    def pending_slots(self) -> int:
-        return sum(d.remaining for d in self.entries) + sum(
-            d.remaining for d in self.remainders
-        )
-
 
 @dataclass
 class PairState:
@@ -120,7 +116,6 @@ class BacklogShard:
         ordered = lru_order(self.staging, current_base)
         take = ordered[: bin_.capacity]
         bin_.entries = take
-        bin_.result_bits = [0] * len(take)
         self.staging = ordered[len(take):]
 
     def absorb_return(self, bin_: Bin) -> None:
@@ -144,18 +139,14 @@ class BacklogShard:
         return pending
 
 
-def alloc_process(bin_: Bin, bitmaps: BatchBitmaps, base_slot: int) -> None:
-    """Fill the bin's result bits: batch-greedy per entry, in bin order.
+def alloc_process(bin_: Bin, bitmaps: BatchBitmaps) -> None:
+    """Fill the bin's result bits with one ``allocate_slots`` pass, in bin order.
 
     No sorting happens here; the backlog fill order is the priority order.
-    The entries themselves are left untouched.
+    The entries themselves are left untouched, and ``postalloc_process``
+    builds the edges from the result bits.
     """
-    for idx, entry in enumerate(bin_.entries):
-        offsets, _ = allocate_slots(bitmaps, entry, base_slot)
-        bits = 0
-        for offset in offsets:
-            bits |= 1 << offset
-        bin_.result_bits[idx] = bits
+    bin_.result_bits = allocate_slots(bitmaps, bin_.entries, [])
 
 
 def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
@@ -259,7 +250,7 @@ class ShuffleEngine:
                 )
                 raise RuntimeError(f"inverse distributor gave alloc set {y} of round {r} {got}")
             base = self.base_for(y, r)
-            alloc_process(bin_, BatchBitmaps(cfg.num_nodes, cfg.batch_size), base)
+            alloc_process(bin_, BatchBitmaps(cfg.num_nodes, cfg.batch_size))
             edges = postalloc_process(bin_, base)
             batches.append(AdmittedBatch(base, cfg.batch_size, tuple(edges)))
             self.allocated_slots += len(edges)

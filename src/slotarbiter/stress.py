@@ -55,14 +55,15 @@ class GapSample:
 
 
 class VerifyingSink:
-    """Streaming batch sink: checks capacity, keeps counts, drops the batch."""
+    """Streaming batch sink: checks capacity and that no batch starts before
+    the previous one ends, keeps counts, drops the batch."""
 
     def __init__(self) -> None:
         self.batches = 0
         self.edges = 0
         self.violations = 0
         self.first_violation = None
-        self.last_base_slot = -1
+        self.next_free_slot = 0  # first slot after the previous batch
         self.out_of_order = 0
 
     def __call__(self, batch: AdmittedBatch) -> None:
@@ -73,9 +74,10 @@ class VerifyingSink:
             self.violations += 1
             if self.first_violation is None:
                 self.first_violation = violation
-        if batch.base_slot <= self.last_base_slot:
+        # a batch starting inside the previous one hands its slots out twice
+        if batch.base_slot < self.next_free_slot:
             self.out_of_order += 1
-        self.last_base_slot = batch.base_slot
+        self.next_free_slot = batch.base_slot + batch.batch_size
 
 
 class _GeneratorThread(threading.Thread):

@@ -20,6 +20,8 @@ from slotarbiter import (
     lru_order,
     oracle_allocate,
 )
+from slotarbiter.kernel import allocate_slots
+from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
 
 
 class TestFirstFreeSlot:
@@ -139,6 +141,81 @@ class TestSortIntoBins:
         c = Demand(5, 6, 5)
         assert self._drain_order([a, b, c], 1) == [(1, 2), (3, 4), (5, 6)]
         assert self._drain_order([c, b, a], 1) == [(5, 6), (3, 4), (1, 2)]
+
+
+@st.composite
+def _pass_input(draw):
+    """Partly claimed rows of a random width, and demands over few nodes, so
+    nodes and whole pairs repeat and sizes run from 1 past the width."""
+    batch_size = draw(st.sampled_from(VALID_BATCH_SIZES))
+    num_nodes = draw(st.integers(2, 5))
+    full = (1 << batch_size) - 1
+    rows = st.lists(st.one_of(st.just(full), st.integers(0, full)),
+                    min_size=num_nodes, max_size=num_nodes)
+    src_rows, dst_rows = draw(rows), draw(rows)
+    pair = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)).filter(
+        lambda p: p[0] != p[1])
+    demands = draw(st.lists(
+        st.builds(lambda p, n: Demand(p[0], p[1], n), pair, st.integers(1, batch_size + 2)),
+        max_size=16,
+    ))
+    return batch_size, src_rows, dst_rows, demands
+
+
+def _reference_pass(src_rows, dst_rows, demands):
+    """Slot by slot, demand by demand, with ``first_free_slot``."""
+    src_rows, dst_rows = list(src_rows), list(dst_rows)
+    masks, edges = [], []
+    for demand in demands:
+        mask = 0
+        for _ in range(demand.remaining):
+            offset = first_free_slot(src_rows[demand.src], dst_rows[demand.dst])
+            if offset is None:
+                break
+            src_rows[demand.src] &= ~(1 << offset)
+            dst_rows[demand.dst] &= ~(1 << offset)
+            mask |= 1 << offset
+            edges.append((offset, demand.src, demand.dst))
+        masks.append(mask)
+    return masks, edges
+
+
+class TestAllocateSlots:
+    """The one greedy pass, against a per-demand loop."""
+
+    @given(_pass_input())
+    def test_pass_equals_per_demand_loop(self, drawn):
+        batch_size, src_rows, dst_rows, demands = drawn
+        bitmaps = BatchBitmaps(len(src_rows), batch_size)
+        bitmaps.src, bitmaps.dst = list(src_rows), list(dst_rows)
+        edges = []
+        masks = allocate_slots(bitmaps, demands, edges)
+
+        assert (masks, edges) == _reference_pass(src_rows, dst_rows, demands)
+        claimed_src = [0] * len(src_rows)
+        claimed_dst = [0] * len(dst_rows)
+        for demand, mask in zip(demands, masks):
+            assert mask.bit_count() <= demand.remaining
+            claimed_src[demand.src] |= mask
+            claimed_dst[demand.dst] |= mask
+        for start, claimed, final in ((src_rows, claimed_src, bitmaps.src),
+                                      (dst_rows, claimed_dst, bitmaps.dst)):
+            assert all(c & ~s == 0 for s, c in zip(start, claimed))
+            assert final == [s & ~c for s, c in zip(start, claimed)]
+        for demand, mask in zip(demands, masks):
+            if mask.bit_count() < demand.remaining:
+                assert bitmaps.src[demand.src] & bitmaps.dst[demand.dst] == 0
+
+    def test_takes_lowest_joint_offsets_and_skips_blocked(self):
+        bitmaps = BatchBitmaps(4, 8)
+        bitmaps.dst[2] = 0b1011_0110
+        edges = []
+        masks = allocate_slots(
+            bitmaps, [Demand(0, 2, 3), Demand(1, 2, 5), Demand(3, 1, 2)], edges)
+        assert masks == [0b0001_0110, 0b1010_0000, 0b0000_0011]
+        assert edges == [(1, 0, 2), (2, 0, 2), (4, 0, 2), (5, 1, 2), (7, 1, 2),
+                         (0, 3, 1), (1, 3, 1)]
+        assert bitmaps.dst[2] == 0
 
 
 def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):

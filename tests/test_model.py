@@ -91,7 +91,8 @@ class TestConfig:
 class TestBatchBitmaps:
     def test_starts_all_free(self):
         bm = BatchBitmaps(4, 8)
-        assert bm.joint_free(0, 1) == 0xFF
+        assert bm.src == [0xFF] * 4
+        assert bm.dst == [0xFF] * 4
 
     def test_claim_clears_both_roles(self):
         bm = BatchBitmaps(4, 8)

@@ -1,6 +1,8 @@
 """Parallel lanes with reconciliation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slotarbiter import (
     Architecture,
@@ -17,7 +19,13 @@ from slotarbiter import (
 from slotarbiter.parallel import AllocationRecord, LaneAdmission, apply_cancellations
 from slotarbiter.workload import Arrival, WorkloadSpec
 
-from conftest import edges_of, make_trace
+from conftest import (
+    MAX_REPLAY_STEPS,
+    assert_replay_invariants,
+    edges_of,
+    make_trace,
+    small_trace,
+)
 
 
 def cfg(**kw):
@@ -187,6 +195,33 @@ class TestDeterministic:
         res = run_parallel_deterministic(cfg(num_nodes=4, lanes=3), trace)
         assert res.metrics.allocated_slots == sum(5 for s in range(4) for d in range(4) if s != d)
         assert res.metrics.conservation_ok()
+
+
+_batch_sizes = st.sampled_from([1, 4, 8])
+
+
+class TestGeneratedTraces:
+    """Properties over generated traces, at 1-4 lanes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trace(), _batch_sizes, st.integers(1, 4))
+    def test_invariants(self, drawn, batch_size, lanes):
+        num_nodes, trace = drawn
+        res = run_parallel_deterministic(
+            cfg(num_nodes=num_nodes, batch_size=batch_size, lanes=lanes), trace, MAX_REPLAY_STEPS)
+        assert_replay_invariants(res, trace, batch_size)
+        assert res.metrics.pending_slots == 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trace(), _batch_sizes)
+    def test_single_lane_equals_oracle(self, drawn, batch_size):
+        num_nodes, trace = drawn
+        res = run_parallel_deterministic(
+            cfg(num_nodes=num_nodes, batch_size=batch_size, lanes=1), trace, MAX_REPLAY_STEPS)
+        arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
+        expected, pending = oracle_replay(arrivals, batch_size)
+        assert edges_of(res.batches) == edges_of(expected)
+        assert res.metrics.pending_slots == sum(d.remaining for d in pending)
 
 
 class TestPaced:

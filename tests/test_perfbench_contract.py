@@ -3,7 +3,9 @@
 ``perfbench/layers.py`` patches slotarbiter's functions and methods by name,
 and its per-layer metrics divide what those patches record by a count: the
 kernel's by the sweeps, finishes and drained demands of the pipelined replay
-and by the ``allocate_slots`` calls of the shuffle replay, and
+and by the ``allocate_slots`` calls of the shuffle replay; the parallel and
+shuffle metrics by the lane, reconcile, shard and permutation calls and the
+edge, record, capacity and entry sums of their replays; and
 ``conduits.mailbox_ns_per_handoff.*`` by the Mailbox handoffs of paced runs.
 A patched name that is gone, or a count that stays 0, makes
 ``perfbench/run.py --trace 1`` exit 1; these tests fail first.
@@ -69,6 +71,24 @@ def test_pipelined_replay_feeds_the_kernel_metrics(traced_replays, phase):
 def test_shuffle_replay_calls_allocate_slots(traced_replays):
     agg, _, _ = traced_replays
     assert agg[("replay:shuffle", "kernel.allocate_slots")].calls > 0
+
+
+def test_parallel_replay_feeds_the_parallel_metrics(traced_replays):
+    agg, sums, _ = traced_replays
+    for name in ("parallel.Lane.allocate", "parallel.reconcile"):
+        assert agg[("replay:parallel", name)].calls > 0, name
+    for key in ("parallel.fragment_edges", "parallel.records"):
+        assert sums[("replay:parallel", key)] > 0, key
+
+
+def test_shuffle_replay_feeds_the_shuffle_metrics(traced_replays):
+    agg, sums, _ = traced_replays
+    for name in ("shuffle.BacklogShard.ingest", "shuffle.BacklogShard.fill_bin",
+                 "shuffle.BacklogShard.absorb_return",
+                 "permutation.permute", "permutation.invert"):
+        assert agg[("replay:shuffle", name)].calls > 0, name
+    for key in ("shuffle.capacity", "shuffle.alloc_entries", "shuffle.post_entries"):
+        assert sums[("replay:shuffle", key)] > 0, key
 
 
 def test_paced_shuffle_hands_bins_through_mailboxes(monkeypatch):

@@ -18,7 +18,7 @@ from slotarbiter import (
 )
 from slotarbiter.workload import Arrival, WorkloadSpec
 
-from conftest import FOUR_NODE_ADMITTED, edges_of, make_trace
+from conftest import FOUR_NODE_ADMITTED, MAX_REPLAY_STEPS, edges_of, make_trace, small_trace
 
 
 def cfg(**kw):
@@ -121,51 +121,31 @@ class TestDeterministic:
         assert m.pending_slots == 0
 
 
-@st.composite
-def _small_trace(draw):
-    """A few nodes, repeated pairs, bursts that share one ``arrival_ns``, and
-    sizes 1–12 with small ones drawn more often, so survivors contend."""
-    num_nodes = draw(st.integers(2, 6))
-    pair = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)).filter(
-        lambda p: p[0] != p[1])
-    rows = draw(st.lists(
-        st.tuples(st.integers(0, 8).map(lambda k: k * 1000), pair,
-                  st.one_of(st.integers(1, 3), st.integers(1, 12))),
-        max_size=24,
-    ))
-    trace = [Arrival(t, src, dst, size) for t, (src, dst), size in rows]
-    trace.sort(key=lambda a: a.arrival_ns)
-    return num_nodes, trace
-
-
 _modes = st.sampled_from([AllocationMode.BATCH, AllocationMode.PER_SLOT])
 _batch_sizes = st.sampled_from([1, 4, 8])
-#: Every generated trace drains in far fewer rotations (at most 288 slots are
-#: demanded), so a kernel that loses or stalls demands fails fast.
-_MAX_STEPS = 1_000
 
 
 class TestGeneratedTraces:
     """Properties over generated traces, not only hand-picked seeds."""
 
     @settings(max_examples=300, deadline=None)
-    @given(_small_trace(), _batch_sizes, _modes)
+    @given(small_trace(), _batch_sizes, _modes)
     def test_single_context_equals_oracle(self, drawn, batch_size, mode):
         num_nodes, trace = drawn
         res = run_pipeline_deterministic(
-            cfg(num_nodes=num_nodes, batch_size=batch_size, mode=mode), trace, _MAX_STEPS)
+            cfg(num_nodes=num_nodes, batch_size=batch_size, mode=mode), trace, MAX_REPLAY_STEPS)
         arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
         expected, pending = oracle_replay(arrivals, batch_size, mode=mode)
         assert edges_of(res.batches) == edges_of(expected)
         assert res.metrics.pending_slots == sum(d.remaining for d in pending)
 
     @settings(max_examples=150, deadline=None)
-    @given(_small_trace(), _batch_sizes, _modes, st.integers(2, 4), st.booleans())
+    @given(small_trace(), _batch_sizes, _modes, st.integers(2, 4), st.booleans())
     def test_multi_context_invariants(self, drawn, batch_size, mode, cores, mid):
         num_nodes, trace = drawn
         res = run_pipeline_deterministic(
             cfg(num_nodes=num_nodes, batch_size=batch_size, mode=mode, cores=cores,
-                mid_pipeline_ingest=mid), trace, _MAX_STEPS)
+                mid_pipeline_ingest=mid), trace, MAX_REPLAY_STEPS)
         assert all(verify_admitted(b) is None for b in res.batches)
         m = res.metrics
         assert m.conservation_ok()

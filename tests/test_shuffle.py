@@ -7,6 +7,8 @@ import textwrap
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slotarbiter
 from slotarbiter import (
@@ -31,7 +33,13 @@ from slotarbiter.shuffle import (
 )
 from slotarbiter.workload import Arrival, WorkloadSpec
 
-from conftest import edges_of, make_trace
+from conftest import (
+    MAX_REPLAY_STEPS,
+    assert_replay_invariants,
+    edges_of,
+    make_trace,
+    small_trace,
+)
 
 
 def cfg(**kw):
@@ -114,20 +122,20 @@ class TestAllocProcess:
         bin_ = Bin(origin=0, capacity=8)
         bin_.entries = [Demand(0, 1, 3), Demand(2, 3, 8), Demand(4, 5, 20)]
         bin_.result_bits = [0, 0, 0]
-        alloc_process(bin_, BatchBitmaps(8, 8), base_slot=1)
+        alloc_process(bin_, BatchBitmaps(8, 8))
         assert [bits.bit_count() for bits in bin_.result_bits] == [3, 8, 8]
 
     def test_same_destination_order_decides(self):
         bin_ = Bin(origin=0, capacity=8)
         bin_.entries = [Demand(0, 2, 8), Demand(1, 2, 8)]
         bin_.result_bits = [0, 0]
-        alloc_process(bin_, BatchBitmaps(4, 8), base_slot=1)
+        alloc_process(bin_, BatchBitmaps(4, 8))
         assert bin_.result_bits[0].bit_count() == 8
         assert bin_.result_bits[1] == 0
 
     def test_empty_bin_unchanged(self):
         bin_ = Bin(origin=0)
-        alloc_process(bin_, BatchBitmaps(4, 8), base_slot=1)
+        alloc_process(bin_, BatchBitmaps(4, 8))
         assert bin_.entries == [] and bin_.result_bits == []
 
 
@@ -252,6 +260,37 @@ class TestDeterministic:
             for x in range(2):
                 counts[(x, spec.permute(x, i))] += 1
         assert all(abs(c - rounds / 2) <= 1 for c in counts.values())
+
+
+_batch_sizes = st.sampled_from([1, 4, 8])
+
+
+class TestGeneratedTraces:
+    """Properties over generated traces, at 1-4 sets."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_trace(), _batch_sizes, st.integers(1, 4), st.sampled_from([1, 4, 64]))
+    def test_invariants(self, drawn, batch_size, sets, bin_capacity):
+        num_nodes, trace = drawn
+        res = run_shuffle_deterministic(
+            cfg(num_nodes=num_nodes, batch_size=batch_size, sets=sets,
+                bin_capacity=bin_capacity), trace, MAX_REPLAY_STEPS)
+        assert_replay_invariants(res, trace, batch_size)
+        assert res.metrics.pending_slots == 0
+
+    # A shard merges a repeated pair into its live demand and the oracle does
+    # not, so the two agree only on traces of distinct pairs.
+    @settings(max_examples=150, deadline=None)
+    @given(small_trace(unique_pairs=True), _batch_sizes)
+    def test_single_set_equals_oracle(self, drawn, batch_size):
+        num_nodes, trace = drawn
+        res = run_shuffle_deterministic(
+            cfg(num_nodes=num_nodes, batch_size=batch_size, bin_capacity=10**6), trace,
+            MAX_REPLAY_STEPS)
+        arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
+        expected, pending = oracle_replay(arrivals, batch_size)
+        assert edges_of(res.batches) == edges_of(expected)
+        assert res.metrics.pending_slots == sum(d.remaining for d in pending)
 
 
 class TestPaced:

@@ -6,10 +6,12 @@ import time
 import pytest
 
 from slotarbiter import (
+    AdmittedBatch,
     Architecture,
     Config,
     Demand,
     SearchError,
+    VerifyingSink,
     auto_search,
     run_paced,
     sustain_check,
@@ -106,6 +108,25 @@ class TestAutoSearch:
             probe, initial_mean_t_ns=1e6, min_factor=1.05, probe_duration_s=0, budget_s=None
         )
         assert result.load_bps == pytest.approx(ceiling, rel=0.05)
+
+
+class TestVerifyingSink:
+    @staticmethod
+    def _out_of_order(bases, width=8):
+        sink = VerifyingSink()
+        for base in bases:
+            sink(AdmittedBatch(base, width, ()))
+        return sink.out_of_order
+
+    def test_consecutive_batches_in_order(self):
+        assert self._out_of_order([1, 9, 17, 33]) == 0
+
+    def test_overlapping_batch_counted(self):
+        # slots 5-8 were already handed out by the batch at slot 1
+        assert self._out_of_order([1, 5]) == 1
+
+    def test_repeated_and_earlier_batches_counted(self):
+        assert self._out_of_order([9, 9, 1]) == 2
 
 
 #: architecture -> (lane config, the stage patched to raise in a lane)
