@@ -5,12 +5,14 @@ are dealt round-robin to the lanes and stay in their lane for life.  Each
 batch a lane puts its pending set in the system-wide LRU order
 (``kernel.lru_order``, the order the oracle's ``canonical_order`` sorts
 into) and claims slots for all of it in one ``kernel.allocate_slots`` pass,
-whose per-demand masks become the lane's allocation records.
+whose per-demand claim masks become the lane's allocation records.
 Because the bitmaps are private, two lanes can admit edges that contend on a
-source or destination; the reconciliation stage keeps the lowest-lane claim
-for every contended (slot, role, node) and cancels the rest.  Cancelled slots
-are restored to their demands, which re-enter the lane's pending set with the
-last-allocation key rolled back, so nothing is ever lost.
+source or destination; the reconciliation stage works on the claim masks:
+the lowest lane that claimed a (slot, role, node) wins it, and a record
+keeps only the offsets no lower lane claimed for its source or destination.
+Cancelled slots are restored to their demands, which re-enter the lane's
+pending set with the last-allocation key rolled back, so nothing is ever
+lost.
 
 All lanes advance to the next batch together: ``_allocate_round`` runs every
 lane's allocation, the reconciliation and every lane's absorb for one batch.
@@ -23,7 +25,8 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conduits import LaneThread, SpscQueue, join_lanes
 from .kernel import allocate_slots, lru_order
@@ -33,27 +36,32 @@ from .workload import Arrival, ArrivalCursor
 BatchSink = Callable[[AdmittedBatch], None]
 
 Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
-CancelKey = Tuple[int, int, int, int]  # (lane_id, slot_offset, src, dst)
 
 
 @dataclass(slots=True)
 class AllocationRecord:
     """Per-demand outcome of one lane's batch, kept for post-hoc cancellation.
 
-    ``residual`` is the surviving demand (what the lane would re-queue), or
-    None when the demand was fully satisfied.
+    ``mask`` holds the offsets the lane claimed and ``left`` the remaining
+    count after the claim; ``kept`` is the part of ``mask`` that stood,
+    which ``reconcile`` sets.
     """
 
     src: int
     dst: int
-    offsets: List[int]
+    mask: int
     prev_last_alloc: int
-    residual: Optional[Demand]
+    left: int
+    kept: int
 
 
 @dataclass
 class LaneAdmission:
-    """One lane's fragment for the batch being reconciled."""
+    """One lane's fragment for the batch being reconciled.
+
+    ``edges`` are the lane's claims, in record order and then ascending
+    offset: the expansion of the records' masks.
+    """
 
     lane_id: int
     base_slot: int
@@ -65,15 +73,19 @@ class LaneAdmission:
 @dataclass
 class ReconcileResult:
     final: AdmittedBatch
-    cancelled_edges: Set[CancelKey]
+    cancelled: int
 
 
 def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
-    """Cancel contending claims: the lowest lane_id wins each (slot, role, node).
+    """Cancel contending claims: the lowest lane that claimed a (slot, role,
+    node) wins it, even when its own edge loses the other role.
 
-    An edge survives only if it wins both its source claim and its
-    destination claim; a consistent fragment set therefore passes through
-    unchanged.  Fragments must all target the same base slot.
+    Walking the fragments in lane order, a record keeps the offsets of its
+    claim mask that no lower lane claimed for its source or its destination,
+    and sets ``kept`` to them; a consistent fragment set therefore passes
+    through unchanged.  ``final`` holds the kept edges in lane order, then
+    record order, then ascending offset.  Fragments must all target the same
+    base slot.
     """
     if not fragments:
         raise ValueError("reconcile needs at least one fragment")
@@ -82,58 +94,60 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
     if any(f.base_slot != base for f in fragments):
         raise ValueError("fragments target different base slots")
 
-    src_winner: Dict[Tuple[int, int], int] = {}
-    dst_winner: Dict[Tuple[int, int], int] = {}
-    for frag in fragments:
-        for offset, src, dst in frag.edges:
-            key_s = (offset, src)
-            key_d = (offset, dst)
-            if key_s not in src_winner or frag.lane_id < src_winner[key_s]:
-                src_winner[key_s] = frag.lane_id
-            if key_d not in dst_winner or frag.lane_id < dst_winner[key_d]:
-                dst_winner[key_d] = frag.lane_id
-
+    taken_src: Dict[int, int] = {}  # node -> OR of lower lanes' claims
+    taken_dst: Dict[int, int] = {}
     final: List[Edge] = []
-    cancelled: Set[CancelKey] = set()
-    for frag in sorted(fragments, key=lambda f: f.lane_id):
-        for offset, src, dst in frag.edges:
-            if (
-                src_winner[(offset, src)] == frag.lane_id
-                and dst_winner[(offset, dst)] == frag.lane_id
-            ):
-                final.append((offset, src, dst))
-            else:
-                cancelled.add((frag.lane_id, offset, src, dst))
+    claimed = 0
+    for frag in sorted(fragments, key=attrgetter("lane_id")):
+        claimed += len(frag.edges)
+        whole = True
+        for rec in frag.records:
+            src = rec.src
+            dst = rec.dst
+            mask = rec.mask
+            on_src = taken_src.get(src, 0)
+            on_dst = taken_dst.get(dst, 0)
+            kept = rec.kept = mask & ~(on_src | on_dst)
+            if kept != mask:
+                whole = False
+            taken_src[src] = on_src | mask
+            taken_dst[dst] = on_dst | mask
+        if whole:
+            final.extend(frag.edges)
+            continue
+        for rec in frag.records:
+            bits = rec.kept
+            while bits:
+                low = bits & -bits
+                final.append((low.bit_length() - 1, rec.src, rec.dst))
+                bits ^= low
 
-    return ReconcileResult(AdmittedBatch(base, width, tuple(final)), cancelled)
+    return ReconcileResult(AdmittedBatch(base, width, tuple(final)), claimed - len(final))
 
 
 def apply_cancellations(
-    lane_id: int,
-    base_slot: int,
-    records: Sequence[AllocationRecord],
-    cancelled_edges: Set[CancelKey],
+    base_slot: int, records: Sequence[AllocationRecord]
 ) -> Tuple[List[Demand], int, int]:
-    """Rebuild a lane's surviving demands after reconciliation.
+    """Rebuild a lane's surviving demands from its reconciled records.
 
-    For each allocation record the kept offsets decide the demand's rolled
-    state: remaining grows by the revoked count, last_alloc points to the
-    last kept slot (or rolls back to its pre-batch value when everything was
-    revoked).  Returns (requeue, revoked_slots, kept_slots).
+    The revoked offsets are those of ``mask`` outside ``kept``: remaining
+    grows by their count, and last_alloc points to the last kept slot (or
+    rolls back to its pre-batch value when everything was revoked).
+    Returns (requeue, revoked_slots, kept_slots).
     """
     requeue: List[Demand] = []
     revoked_total = 0
     kept_total = 0
     for rec in records:
-        kept = [o for o in rec.offsets if (lane_id, o, rec.src, rec.dst) not in cancelled_edges]
-        revoked = len(rec.offsets) - len(kept)
+        kept = rec.kept
+        granted = kept.bit_count()
+        revoked = rec.mask.bit_count() - granted
         revoked_total += revoked
-        kept_total += len(kept)
-        residual = rec.residual.remaining if rec.residual is not None else 0
-        remaining = residual + revoked
+        kept_total += granted
+        remaining = rec.left + revoked
         if remaining == 0:
             continue
-        last_alloc = base_slot + max(kept) if kept else rec.prev_last_alloc
+        last_alloc = base_slot + kept.bit_length() - 1 if kept else rec.prev_last_alloc
         requeue.append(Demand(rec.src, rec.dst, remaining, last_alloc))
     return requeue, revoked_total, kept_total
 
@@ -164,31 +178,21 @@ class Lane:
         masks = allocate_slots(bitmaps, ordered, edges)
         records: List[AllocationRecord] = []
         unserved: List[Demand] = []
-        claimed = 0  # the edges of a served demand follow its predecessors'
         for demand, mask in zip(ordered, masks):
-            if not mask:
+            if mask:
+                left = demand.remaining - mask.bit_count()
+                records.append(
+                    AllocationRecord(demand.src, demand.dst, mask, demand.last_alloc, left, mask)
+                )
+            else:
                 unserved.append(demand)
-                continue
-            granted = mask.bit_count()
-            offsets = [edge[0] for edge in edges[claimed:claimed + granted]]
-            claimed += granted
-            left = demand.remaining - granted
-            residual = (
-                Demand(demand.src, demand.dst, left, base_slot + mask.bit_length() - 1)
-                if left else None
-            )
-            records.append(
-                AllocationRecord(demand.src, demand.dst, offsets, demand.last_alloc, residual)
-            )
         self.drained += len(ordered)
         self.pending = unserved
         self.last_records = records
         return LaneAdmission(self.lane_id, base_slot, self.cfg.batch_size, edges, records)
 
-    def absorb(self, cancelled_edges: Set[CancelKey], base_slot: int) -> None:
-        requeue, revoked, kept = apply_cancellations(
-            self.lane_id, base_slot, self.last_records, cancelled_edges
-        )
+    def absorb(self, base_slot: int) -> None:
+        requeue, revoked, kept = apply_cancellations(base_slot, self.last_records)
         self.pending.extend(requeue)
         self.allocated_slots += kept
         self.cancelled_slots += revoked
@@ -204,7 +208,7 @@ def _allocate_round(
     """Every lane allocates batch ``base``, reconcile, every lane absorbs."""
     result = reconcile([lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)])
     for lane in lanes:
-        lane.absorb(result.cancelled_edges, base)
+        lane.absorb(base)
     return result
 
 

@@ -5,7 +5,7 @@ the source space and fill demands into fixed-capacity bins in LRU order.
 Round r sends shard x's bin to alloc set (A*x + B) mod K; the set claims
 slots for the whole bin in one ``kernel.allocate_slots`` pass against fresh
 bitmaps, whose per-entry masks are the result bits (``alloc_process``), then
-splits spent from remaining entries and emits the admitted edges
+splits spent from remaining entries and emits the edges the pass claimed
 (``postalloc_process``), and the inverse distributor carries the bin back to
 its origin shard based on the same round's parameters.
 
@@ -53,12 +53,14 @@ class Bin:
     sent_ns: int = 0  # monotonic stamp of the latest send to an alloc set
     entries: List[Demand] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
+    edges: List[Edge] = field(default_factory=list)  # the pass's claims, in entry order
     completed: List[Tuple[int, int, int]] = field(default_factory=list)  # (src, dst, last_alloc)
     remainders: List[Demand] = field(default_factory=list)
 
     def clear(self) -> None:
         self.entries = []
         self.result_bits = []
+        self.edges = []
         self.completed = []
         self.remainders = []
 
@@ -140,49 +142,36 @@ class BacklogShard:
 
 
 def alloc_process(bin_: Bin, bitmaps: BatchBitmaps) -> None:
-    """Fill the bin's result bits with one ``allocate_slots`` pass, in bin order.
+    """Claim slots for the bin with one ``allocate_slots`` pass, in bin order.
 
     No sorting happens here; the backlog fill order is the priority order.
-    The entries themselves are left untouched, and ``postalloc_process``
-    builds the edges from the result bits.
+    The entries themselves are left untouched; the pass's masks become the
+    result bits and its edges are appended to ``bin_.edges``.
     """
-    bin_.result_bits = allocate_slots(bitmaps, bin_.entries, [])
+    bin_.result_bits = allocate_slots(bitmaps, bin_.entries, bin_.edges)
 
 
 def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
-    """Split the bin by outcome and return the admitted edges.
+    """Split the bin by outcome and return the edges ``alloc_process`` claimed.
 
     Spent entries become completions, partially served entries become
     remainder demands with their LRU key advanced, untouched entries ride
     back unchanged.  The splits are stored on the bin for the trip home.
     """
-    edges: List[Edge] = []
     completed: List[Tuple[int, int, int]] = []
     remainders: List[Demand] = []
     for entry, bits in zip(bin_.entries, bin_.result_bits):
-        granted = bits.bit_count()
-        if granted:
-            last_offset = bits.bit_length() - 1
-            mask = bits
-            while mask:
-                offset = (mask & -mask).bit_length() - 1
-                edges.append((offset, entry.src, entry.dst))
-                mask &= mask - 1
-            if granted == entry.remaining:
-                completed.append((entry.src, entry.dst, base_slot + last_offset))
-            else:
-                remainders.append(
-                    Demand(
-                        entry.src,
-                        entry.dst,
-                        entry.remaining - granted,
-                        base_slot + last_offset,
-                    )
-                )
-        else:
+        if not bits:
             remainders.append(entry)
-    bin_.entries = []
-    bin_.result_bits = []
+            continue
+        left = entry.remaining - bits.bit_count()
+        last_alloc = base_slot + bits.bit_length() - 1
+        if left:
+            remainders.append(Demand(entry.src, entry.dst, left, last_alloc))
+        else:
+            completed.append((entry.src, entry.dst, last_alloc))
+    edges = bin_.edges
+    bin_.clear()
     bin_.completed = completed
     bin_.remainders = remainders
     return edges

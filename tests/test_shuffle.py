@@ -143,11 +143,13 @@ class TestPostallocProcess:
     def test_spent_entry_completes(self):
         bin_ = Bin(origin=0)
         bin_.entries = [Demand(0, 1, 2)]
-        bin_.result_bits = [0b11]
+        alloc_process(bin_, BatchBitmaps(4, 8))
+        assert bin_.result_bits == [0b11]
         edges = postalloc_process(bin_, base_slot=9)
         assert edges == [(0, 0, 1), (1, 0, 1)]
         assert bin_.completed == [(0, 1, 10)]
         assert bin_.remainders == []
+        assert bin_.edges == [] and bin_.entries == []
 
     def test_partial_entry_becomes_remainder(self):
         bin_ = Bin(origin=0)
