@@ -1,22 +1,18 @@
-"""Conduits, and the thread that runs a paced machine's engine.
+"""Conduits: a bounded demand queue and a one-slot bin cell.
 
-Both conduits are single-producer single-consumer by contract.  SpscQueue
-is the general demand conduit (QHead, shard feeds) between a generator
-thread and a machine's thread.  Mailbox is the one-slot bin cell with an
+Both are single-producer single-consumer by contract.  SpscQueue is the
+demand conduit between one generator thread and a paced machine's thread
+(``engine.PacedMachine``).  Mailbox is the one-slot bin cell with an
 explicit full/empty flag: the shuffle distributor's grids are made of them,
 and one thread, the engine's, puts and takes every bin.  ``snapshot`` reads
 a queue without taking from it, for shutdown accounting.
-
-A ``LaneThread`` that raises keeps the exception and sets its machine's stop
-event, which ends the paced run early; ``join_lanes`` re-raises it, so the
-run fails instead of returning quietly.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Callable, Deque, Generic, List, Optional, Sequence, TypeVar
+from typing import Any, Deque, Generic, List, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -140,29 +136,3 @@ class Mailbox:
             self._full = False
             self._cond.notify()
             return value
-
-
-class LaneThread(threading.Thread):
-    """Runs a paced machine's engine; an exception it raises fails the run."""
-
-    def __init__(self, name: str, stop_event: threading.Event, target: Callable[[], None]) -> None:
-        super().__init__(name=name, target=target, daemon=True)
-        self.stop_event = stop_event
-        self.error: Optional[BaseException] = None
-
-    def run(self) -> None:
-        try:
-            super().run()
-        except BaseException as exc:
-            self.error = exc
-            self.stop_event.set()
-
-
-def join_lanes(stop_event: threading.Event, lanes: Sequence[LaneThread]) -> None:
-    """Stop and join every lane, then re-raise the first lane's error."""
-    stop_event.set()
-    for lane in lanes:
-        lane.join()
-    for lane in lanes:
-        if lane.error is not None:
-            raise lane.error

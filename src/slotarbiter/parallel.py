@@ -14,26 +14,22 @@ Cancelled slots are restored to their demands, which re-enter the lane's
 pending set with the last-allocation key rolled back, so nothing is ever
 lost.
 
-All lanes advance to the next batch together: ``_allocate_round`` runs every
-lane's allocation, the reconciliation and every lane's absorb for one batch.
-The deterministic driver calls it once per batch of replayed time; the paced
-machine calls it from its single thread, once per pass.
+All lanes advance to the next batch together.  ``ParallelRound`` is the
+engine (``engine.py``) over them: ``admit`` deals demands round-robin to the
+lanes, and ``emit`` runs every lane's allocation, the reconciliation and
+every lane's absorb for one batch.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conduits import LaneThread, SpscQueue, join_lanes
+from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order
-from .model import AdmittedBatch, BatchBitmaps, Config, Demand, Metrics, RunResult
-from .workload import Arrival, ArrivalCursor
-
-BatchSink = Callable[[AdmittedBatch], None]
+from .model import AdmittedBatch, BatchBitmaps, Config, Demand, RunResult
+from .workload import Arrival
 
 Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
 
@@ -169,9 +165,8 @@ class Lane:
         self.drained = 0
         self.cancelled_slots = 0
 
-    def allocate(self, base_slot: int, fresh: Sequence[Demand]) -> LaneAdmission:
+    def allocate(self, base_slot: int) -> LaneAdmission:
         """Greedy batch-style pass over the pending set in LRU order."""
-        self.pending.extend(fresh)
         ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
@@ -202,22 +197,50 @@ class Lane:
         return sum(d.remaining for d in self.pending)
 
 
-def _allocate_round(
-    lanes: Sequence[Lane], base: int, fresh: Sequence[Sequence[Demand]]
-) -> ReconcileResult:
-    """Every lane allocates batch ``base``, reconcile, every lane absorbs."""
-    result = reconcile([lane.allocate(base, fresh[i]) for i, lane in enumerate(lanes)])
-    for lane in lanes:
-        lane.absorb(base)
-    return result
+class ParallelRound:
+    """The lanes and the round that moves them all one batch on."""
 
+    def __init__(self, cfg: Config) -> None:
+        self.batch = cfg.batch_size
+        self.lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
+        self.next_base = 1
+        self.allocated_slots = 0
+        self._rr = 0
 
-def _lane_counters(lanes: Sequence[Lane]) -> dict:
-    return {
-        "drained": [lane.drained for lane in lanes],
-        "allocated": [lane.allocated_slots for lane in lanes],
-        "cancelled": [lane.cancelled_slots for lane in lanes],
-    }
+    def admit(self, demands: Sequence[Demand]) -> bool:
+        """Deal ``demands`` round-robin to the lanes' pending sets."""
+        lanes = self.lanes
+        for demand in demands:
+            lanes[self._rr % len(lanes)].pending.append(demand)
+            self._rr += 1
+        return any(lane.pending for lane in lanes)
+
+    def emit(self) -> List[AdmittedBatch]:
+        """Every lane allocates batch ``next_base``, reconcile, every lane absorbs."""
+        base = self.next_base
+        result = reconcile([lane.allocate(base) for lane in self.lanes])
+        for lane in self.lanes:
+            lane.absorb(base)
+        self.allocated_slots += len(result.final.edges)
+        self.next_base += self.batch
+        return [result.final]
+
+    def close(self) -> List[AdmittedBatch]:
+        return []
+
+    @property
+    def cancelled_slots(self) -> int:
+        return sum(lane.cancelled_slots for lane in self.lanes)
+
+    def pending_slots(self) -> int:
+        return sum(lane.pending_slots() for lane in self.lanes)
+
+    def counters(self) -> Dict[str, object]:
+        return {
+            "drained": [lane.drained for lane in self.lanes],
+            "allocated": [lane.allocated_slots for lane in self.lanes],
+            "cancelled": [lane.cancelled_slots for lane in self.lanes],
+        }
 
 
 def run_parallel_deterministic(
@@ -226,103 +249,5 @@ def run_parallel_deterministic(
     max_batches: int = 100_000,
     sink: Optional[BatchSink] = None,
 ) -> RunResult:
-    """Single-thread replay: lanes allocate one batch each round, then reconcile."""
-    lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
-    batches: List[AdmittedBatch] = []
-    emit = batches.append if sink is None else sink
-
-    cursor = ArrivalCursor(arrivals)
-    rr = 0
-    metrics = Metrics()
-    slot_ns = cfg.slot_ns
-    base = 1
-
-    for _ in range(max_batches):
-        fresh: List[List[Demand]] = [[] for _ in lanes]
-        for demand in cursor.release((base - 1) * slot_ns):
-            fresh[rr % len(lanes)].append(demand)
-            rr += 1
-            metrics.demanded_slots += demand.remaining
-        # nothing is ever dropped, so live work is exactly the running gap
-        if metrics.demanded_slots == metrics.allocated_slots and cursor.exhausted:
-            break
-        result = _allocate_round(lanes, base, fresh)
-        emit(result.final)
-        metrics.allocated_slots += len(result.final.edges)
-        base += cfg.batch_size
-
-    metrics.cancelled_then_reissued = sum(lane.cancelled_slots for lane in lanes)
-    metrics.pending_slots = sum(lane.pending_slots() for lane in lanes)
-    metrics.lane_counters = _lane_counters(lanes)
-    return RunResult(metrics, batches)
-
-
-#: Per-lane live-demand ceiling in paced mode; QHead backs up (and the
-#: generator reports overload) instead of the pending sets growing unbounded.
-_PENDING_HIGH_WATER = 8192
-
-#: Demands taken from QHead per pass in paced mode.  Taking all of QHead
-#: at once under overload grows the pending sets that every batch re-visits,
-#: and batches slow down as they grow.
-_QHEAD_CHUNK = 512
-
-
-class ParallelMachine:
-    """Paced parallel driver: one thread runs allocate-reconcile-absorb rounds.
-
-    Demands are dealt round-robin to the lanes as they are taken from QHead,
-    as in replay, at most ``_QHEAD_CHUNK`` per pass.  Every pass allocates and
-    emits one batch.
-    """
-
-    def __init__(self, cfg: Config, sink: BatchSink) -> None:
-        self.cfg = cfg
-        self.sink = sink
-        self.qhead: SpscQueue[Demand] = SpscQueue(cfg.mailbox_depth)
-        self.lanes = [Lane(i, cfg) for i in range(cfg.lanes)]
-        self.base_slot = 1
-        self.emitted_batches = 0
-        self._rr = 0
-        self.stop_event = threading.Event()
-        self.runner = LaneThread("parallel", self.stop_event, target=self._run)
-
-    def _run(self) -> None:
-        lanes = self.lanes
-        while not self.stop_event.is_set():
-            fresh: List[List[Demand]] = [[] for _ in lanes]
-            for _ in range(_QHEAD_CHUNK):
-                i = self._rr % len(lanes)
-                if len(lanes[i].pending) + len(fresh[i]) >= _PENDING_HIGH_WATER:
-                    break
-                demand = self.qhead.try_take()
-                if demand is None:
-                    break
-                fresh[i].append(demand)
-                self._rr += 1
-            idle = not any(fresh) and not any(lane.pending for lane in lanes)
-            result = _allocate_round(lanes, self.base_slot, fresh)
-            self.sink(result.final)
-            self.emitted_batches += 1
-            self.base_slot += self.cfg.batch_size
-            # Yield once per batch so the generator can refill QHead; rest
-            # for 100 us when there was nothing to allocate.
-            time.sleep(0.0001 if idle else 0)
-
-    def push(self, demand: Demand) -> bool:
-        return self.qhead.try_put(demand)
-
-    def allocated_slots(self) -> int:
-        return sum(lane.allocated_slots for lane in self.lanes)
-
-    def start(self) -> None:
-        self.runner.start()
-
-    def stop_and_join(self) -> None:
-        join_lanes(self.stop_event, [self.runner])
-
-    def pending_slots(self) -> int:
-        queued = sum(d.remaining for d in self.qhead.snapshot())
-        return queued + sum(lane.pending_slots() for lane in self.lanes)
-
-    def lane_counters(self) -> dict:
-        return dict(_lane_counters(self.lanes), emitted_batches=self.emitted_batches)
+    """Replay a trace through a ``ParallelRound`` (see ``engine.replay``)."""
+    return replay(ParallelRound(cfg), cfg, arrivals, max_batches, sink)

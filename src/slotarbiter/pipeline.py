@@ -9,34 +9,24 @@ and the next context becomes head.  Each forwarded list is tagged with the first
 batch allowed to consider it, so a survivor forwarded at batch b is never
 drained before b + 1.
 
-``PipelineRing`` holds that state and its three steps (sweep, rotate,
-close).  Two drivers schedule it: a deterministic loop that rotates after
-every sweep (replay, equivalence and the worked examples), and a paced
-machine whose single thread rotates whenever a tenure of wall time passes.
+``PipelineRing`` holds that state behind the engine contract of
+``engine.py``: ``admit`` sweeps the ring, ``emit`` rotates it and ``close``
+finishes every batch still riding it.  The replay loop emits after every
+sweep; the paced machine sweeps on every pass and emits whenever a tenure of
+wall time has passed, so in a slow slot clock the ring sweeps several times
+per tenure.
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
-from .conduits import LaneThread, SpscQueue, join_lanes
+from .engine import BatchSink, replay
 from .kernel import GreedyKernel
-from .model import AdmittedBatch, Config, Demand, Metrics, RunResult
-from .workload import Arrival, ArrivalCursor
-
-BatchSink = Callable[[AdmittedBatch], None]
-
-#: Demands taken from QHead per pass in paced mode, so rotation stays timely
-#: under overload.
-_QHEAD_CHUNK = 512
-
-#: Ceiling on unallocated slots circulating inside the ring.  Ingestion
-#: pauses above it, so overload backs up into QHead instead of RAM.
-_INFLIGHT_SLOT_LIMIT = 262_144
+from .model import AdmittedBatch, Config, Demand, RunResult
+from .workload import Arrival
 
 
 @dataclass
@@ -47,7 +37,9 @@ class _Context:
 
 
 class PipelineRing:
-    """The ring's contexts, its head, and the steps both drivers schedule."""
+    """The ring's contexts, its head, and the engine steps over them."""
+
+    cancelled_slots = 0
 
     def __init__(self, cfg: Config) -> None:
         self.batch = cfg.batch_size
@@ -61,10 +53,14 @@ class PipelineRing:
         for ctx in self.contexts:
             ctx.kernel.reset(ctx.base_slot)
         self.head = 0
-        self.next_base = 1 + cfg.cores * cfg.batch_size
+        self.reseed_base = 1 + cfg.cores * cfg.batch_size  # the tail's next batch
         self.ingest_pos = cfg.cores // 2 if cfg.mid_pipeline_ingest else 0
         self.position_drained = [0] * cfg.cores
         self.allocated_slots = 0
+
+    @property
+    def next_base(self) -> int:
+        return self.contexts[self.head].base_slot
 
     def _forward(self, idx: int, demands: List[Demand]) -> None:
         """Hand survivors of context ``idx`` to its successor, for the next batch."""
@@ -72,7 +68,7 @@ class PipelineRing:
             tag = self.contexts[idx].base_slot + self.batch
             self.contexts[(idx + 1) % len(self.contexts)].in_q.append((tag, demands))
 
-    def sweep(self, fresh: Sequence[Demand]) -> bool:
+    def admit(self, fresh: Sequence[Demand]) -> bool:
         """One pass over the ring, head first; ``fresh`` enters at the ingest position.
 
         Returns whether any context had work.
@@ -96,16 +92,16 @@ class PipelineRing:
                 worked = True
         return worked
 
-    def rotate(self) -> AdmittedBatch:
+    def emit(self) -> List[AdmittedBatch]:
         """Close the head's batch, re-seed it at the tail, advance the head."""
         ctx = self.contexts[self.head]
         admitted, flush = ctx.kernel.finish()
         self._forward(self.head, flush)
-        ctx.kernel.reset(self.next_base)
-        ctx.base_slot = self.next_base
-        self.next_base += self.batch
+        ctx.kernel.reset(self.reseed_base)
+        ctx.base_slot = self.reseed_base
+        self.reseed_base += self.batch
         self.head = (self.head + 1) % len(self.contexts)
-        return admitted
+        return [admitted]
 
     def close(self) -> List[AdmittedBatch]:
         """Finish every batch still riding the ring, oldest first.
@@ -130,6 +126,9 @@ class PipelineRing:
             for ctx in self.contexts
         )
 
+    def counters(self) -> Dict[str, object]:
+        return {"position_drained": self.position_drained, "allocated": self.allocated_slots}
+
 
 def run_pipeline_deterministic(
     cfg: Config,
@@ -137,102 +136,5 @@ def run_pipeline_deterministic(
     max_steps: int = 100_000,
     sink: Optional[BatchSink] = None,
 ) -> RunResult:
-    """Single-thread replay: release, sweep the ring, rotate; then close.
-
-    Arrivals are released at the ingest position once the head's batch start
-    time passes their arrival time.  The run ends when every released demand
-    has been satisfied (or ``max_steps`` is hit), then the still-unemitted
-    batches are closed in slot order.
-    """
-    ring = PipelineRing(cfg)
-    batches: List[AdmittedBatch] = []
-    emit = batches.append if sink is None else sink
-    cursor = ArrivalCursor(arrivals)
-    metrics = Metrics()
-    slot_ns = cfg.slot_ns
-
-    for _ in range(max_steps):
-        fresh = cursor.release((ring.contexts[ring.head].base_slot - 1) * slot_ns)
-        metrics.demanded_slots += sum(d.remaining for d in fresh)
-        ring.sweep(fresh)
-        emit(ring.rotate())
-        if metrics.demanded_slots == ring.allocated_slots and cursor.exhausted:
-            break
-
-    for admitted in ring.close():
-        emit(admitted)
-    metrics.allocated_slots = ring.allocated_slots
-    metrics.pending_slots = ring.pending_slots()
-    metrics.lane_counters = {"position_drained": ring.position_drained}
-    return RunResult(metrics, batches)
-
-
-class PipelineMachine:
-    """Paced pipeline: one thread steps the ring against the wall clock.
-
-    It takes demands from QHead while the ring's in-flight slots stay under
-    ``_INFLIGHT_SLOT_LIMIT``, sweeps, and rotates whenever the head's tenure
-    (one batch of slot times) has passed.
-    """
-
-    def __init__(self, cfg: Config, sink: BatchSink) -> None:
-        self.cfg = cfg
-        self.sink = sink
-        self.qhead: SpscQueue[Demand] = SpscQueue(cfg.mailbox_depth)
-        self.ring = PipelineRing(cfg)
-        self.taken_slots = 0
-        self.emitted_batches = 0
-        self.stop_event = threading.Event()
-        self.runner = LaneThread("pipeline", self.stop_event, target=self._run)
-
-    def _run(self) -> None:
-        ring = self.ring
-        qhead = self.qhead
-        tenure_ns = self.cfg.batch_size * self.cfg.slot_ns
-        deadline_ns = time.monotonic_ns()
-        while not self.stop_event.is_set():
-            fresh: List[Demand] = []
-            if self.taken_slots - ring.allocated_slots < _INFLIGHT_SLOT_LIMIT:
-                for _ in range(_QHEAD_CHUNK):
-                    demand = qhead.try_take()
-                    if demand is None:
-                        break
-                    fresh.append(demand)
-                    self.taken_slots += demand.remaining
-            worked = ring.sweep(fresh)
-            now = time.monotonic_ns()
-            if now >= deadline_ns:
-                self.sink(ring.rotate())
-                self.emitted_batches += 1
-                deadline_ns = max(now, deadline_ns + tenure_ns)
-                # Let the generator run once per batch: without a yield it
-                # waits out a whole switch interval while QHead goes unfed,
-                # and a yield on every pass slows the ring under load.
-                time.sleep(0)
-            elif not worked:
-                time.sleep(0.0001)
-
-    def push(self, demand: Demand) -> bool:
-        return self.qhead.try_put(demand)
-
-    def allocated_slots(self) -> int:
-        return self.ring.allocated_slots
-
-    def start(self) -> None:
-        self.runner.start()
-
-    def stop_and_join(self) -> None:
-        join_lanes(self.stop_event, [self.runner])
-        # emit the in-flight batches so verification sees every claimed slot
-        for admitted in self.ring.close():
-            self.sink(admitted)
-
-    def pending_slots(self) -> int:
-        return self.ring.pending_slots() + sum(d.remaining for d in self.qhead.snapshot())
-
-    def lane_counters(self) -> dict:
-        return {
-            "position_drained": self.ring.position_drained,
-            "allocated": self.ring.allocated_slots,
-            "emitted_batches": self.emitted_batches,
-        }
+    """Replay a trace through a ``PipelineRing`` (see ``engine.replay``)."""
+    return replay(PipelineRing(cfg), cfg, arrivals, max_steps, sink)

@@ -9,9 +9,9 @@ splits spent from remaining entries and emits the edges the pass claimed
 (``postalloc_process``), and the inverse distributor carries the bin back to
 its origin shard based on the same round's parameters.
 
-``ShuffleEngine`` is the only copy of a round.  The deterministic replay
-steps it once per round of replayed time; the paced ``ShuffleMachine`` steps
-it from its single thread.
+``ShuffleEngine`` is the only copy of a round, behind the engine contract
+of ``engine.py``: ``admit`` routes demands to their shards and ``emit`` runs
+one round.
 
 Set s of round r allocates the batch starting at slot 1 + (r*S + s)*B, so a
 round emits S consecutive batches, in slot order.
@@ -19,26 +19,16 @@ round emits S consecutive batches, in slot order.
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conduits import LaneThread, Mailbox, SpscQueue, join_lanes
+from .conduits import Mailbox
+from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order
-from .model import (
-    AdmittedBatch,
-    Architecture,
-    BatchBitmaps,
-    Config,
-    Demand,
-    Metrics,
-    RunResult,
-)
+from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, RunResult
 from .permutation import PermutationSpec
-from .workload import Arrival, ArrivalCursor
-
-BatchSink = Callable[[AdmittedBatch], None]
+from .workload import Arrival, shard_of, shard_range
 
 Edge = Tuple[int, int, int]
 
@@ -177,35 +167,24 @@ def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
     return edges
 
 
-def shard_for_src(src: int, num_nodes: int, shards: int) -> int:
-    return min(src * shards // num_nodes, shards - 1)
-
-
-def _shard_ranges(num_nodes: int, shards: int) -> List[Tuple[int, int]]:
-    """Contiguous source ranges, the exact inverse of shard_for_src."""
-    return [
-        ((x * num_nodes + shards - 1) // shards, ((x + 1) * num_nodes + shards - 1) // shards)
-        for x in range(shards)
-    ]
-
-
 class ShuffleEngine:
     """One shuffle allocator: K backlog shards, K alloc sets, the distributor.
 
-    ``step`` runs one round.  Every shard fills its bin and the distributor
+    ``emit`` runs one round.  Every shard fills its bin and the distributor
     carries it to alloc set ``permute(x, r)``; every set allocates and splits
     the bin it takes, and the inverse distributor carries the bin home.  Bins
     travel through two K x K grids of one-slot mailboxes, ``dist[x][y]`` out
     and ``inv[y][x]`` back, and every cell is empty again when a round ends.
     """
 
+    cancelled_slots = 0
+
     def __init__(self, cfg: Config) -> None:
         self.cfg = cfg
         num_sets = cfg.sets
         self.perm = PermutationSpec(num_sets)
         self.shards = [
-            BacklogShard(x, lo, hi)
-            for x, (lo, hi) in enumerate(_shard_ranges(cfg.num_nodes, num_sets))
+            BacklogShard(x, *shard_range(cfg.num_nodes, x, num_sets)) for x in range(num_sets)
         ]
         self.dist = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
         self.inv = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
@@ -216,7 +195,19 @@ class ShuffleEngine:
     def base_for(self, set_id: int, round_index: int) -> int:
         return 1 + (round_index * self.cfg.sets + set_id) * self.cfg.batch_size
 
-    def step(self) -> List[AdmittedBatch]:
+    @property
+    def next_base(self) -> int:
+        return self.base_for(0, self.round_index)
+
+    def admit(self, demands: Sequence[Demand]) -> bool:
+        """Route each demand to the shard that owns its source."""
+        shards = self.shards
+        num_nodes = self.cfg.num_nodes
+        for demand in demands:
+            shards[shard_of(demand.src, num_nodes, len(shards))].ingest(demand)
+        return any(shard.staging for shard in shards)
+
+    def emit(self) -> List[AdmittedBatch]:
         """Run one round; return its batches in slot order."""
         cfg = self.cfg
         perm = self.perm
@@ -253,8 +244,24 @@ class ShuffleEngine:
         self.round_index += 1
         return batches
 
+    def close(self) -> List[AdmittedBatch]:
+        return []
+
     def pending_slots(self) -> int:
         return sum(shard.pending_slots() for shard in self.shards)
+
+    def counters(self) -> Dict[str, object]:
+        counters: Dict[str, object] = {
+            "staging": [len(shard.staging) for shard in self.shards],
+            "rounds": self.round_index,
+            "allocated": self.allocated_slots,
+            "circulations": len(self.circulation_ns),
+        }
+        if self.circulation_ns:
+            stats = _circulation_stats(self.circulation_ns)
+            counters["circulation_p50_us"] = stats["p50_us"]
+            counters["circulation_p99_us"] = stats["p99_us"]
+        return counters
 
 
 def run_shuffle_deterministic(
@@ -263,36 +270,8 @@ def run_shuffle_deterministic(
     max_rounds: int = 100_000,
     sink: Optional[BatchSink] = None,
 ) -> RunResult:
-    """Single-thread replay of the full circulation, one bin per shard per round."""
-    engine = ShuffleEngine(cfg)
-    batches: List[AdmittedBatch] = []
-    emit = batches.append if sink is None else sink
-
-    cursor = ArrivalCursor(arrivals)
-    metrics = Metrics()
-    slot_ns = cfg.slot_ns
-
-    for _ in range(max_rounds):
-        released = cursor.release((engine.base_for(0, engine.round_index) - 1) * slot_ns)
-        for demand in released:
-            engine.shards[shard_for_src(demand.src, cfg.num_nodes, cfg.sets)].ingest(demand)
-            metrics.demanded_slots += demand.remaining
-        if metrics.demanded_slots == engine.allocated_slots and cursor.exhausted:
-            break
-        for batch in engine.step():
-            emit(batch)
-
-    metrics.allocated_slots = engine.allocated_slots
-    metrics.pending_slots = engine.pending_slots()
-    metrics.lane_counters = {
-        "staging": [len(shard.staging) for shard in engine.shards],
-    }
-    return RunResult(metrics, batches)
-
-
-#: Per-shard staging ceiling in paced mode; the ingest conduit backs up (and
-#: the generator reports overload) rather than staging growing unbounded.
-_STAGING_HIGH_WATER = 8192
+    """Replay a trace through a ``ShuffleEngine`` (see ``engine.replay``)."""
+    return replay(ShuffleEngine(cfg), cfg, arrivals, max_rounds, sink)
 
 
 def _circulation_stats(samples_ns: Sequence[int]) -> Dict[str, float]:
@@ -303,71 +282,6 @@ def _circulation_stats(samples_ns: Sequence[int]) -> Dict[str, float]:
         "p50_us": flat[len(flat) // 2] / 1000.0,
         "p99_us": flat[min(len(flat) - 1, int(len(flat) * 0.99))] / 1000.0,
     }
-
-
-class ShuffleMachine:
-    """Paced shuffle: one thread steps the engine.
-
-    Each pass moves demands from the per-shard ingest conduits into the
-    shards, at most up to ``_STAGING_HIGH_WATER`` staged each, and runs one
-    round.
-    """
-
-    def __init__(self, cfg: Config, sink: BatchSink) -> None:
-        self.cfg = cfg
-        self.sink = sink
-        self.engine = ShuffleEngine(cfg)
-        self.ingest_conduits = [SpscQueue(cfg.mailbox_depth) for _ in range(cfg.sets)]
-        self.stop_event = threading.Event()
-        self.runner = LaneThread("shuffle", self.stop_event, target=self._run)
-
-    def _run(self) -> None:
-        engine = self.engine
-        feeds = list(zip(engine.shards, self.ingest_conduits))
-        while not self.stop_event.is_set():
-            for shard, conduit in feeds:
-                while len(shard.staging) < _STAGING_HIGH_WATER:
-                    demand = conduit.try_take()
-                    if demand is None:
-                        break
-                    shard.ingest(demand)
-            idle = not any(shard.staging for shard in engine.shards)
-            for batch in engine.step():
-                self.sink(batch)
-            # Yield once per round so the generators can refill the conduits;
-            # rest for 100 us when there was nothing to allocate.
-            time.sleep(0.0001 if idle else 0)
-
-    def push(self, demand: Demand) -> bool:
-        shard = shard_for_src(demand.src, self.cfg.num_nodes, self.cfg.sets)
-        return self.ingest_conduits[shard].try_put(demand)
-
-    def allocated_slots(self) -> int:
-        return self.engine.allocated_slots
-
-    def start(self) -> None:
-        self.runner.start()
-
-    def stop_and_join(self) -> None:
-        join_lanes(self.stop_event, [self.runner])
-
-    def pending_slots(self) -> int:
-        queued = sum(d.remaining for c in self.ingest_conduits for d in c.snapshot())
-        return queued + self.engine.pending_slots()
-
-    def lane_counters(self) -> dict:
-        engine = self.engine
-        counters = {
-            "rounds": engine.round_index,
-            "emitted_batches": engine.round_index * self.cfg.sets,
-            "allocated": engine.allocated_slots,
-            "circulations": len(engine.circulation_ns),
-        }
-        if engine.circulation_ns:
-            stats = _circulation_stats(engine.circulation_ns)
-            counters["circulation_p50_us"] = stats["p50_us"]
-            counters["circulation_p99_us"] = stats["p99_us"]
-        return counters
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +322,7 @@ def bench_distributor(
             src = shard.src_lo + i % width
             shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
     for _ in range(circulations):
-        engine.step()
+        engine.emit()
     if not engine.circulation_ns:
         raise RuntimeError("distributor bench produced no samples")
     return {

@@ -1,12 +1,15 @@
 """Stress harness: paced load generation, sustain checks, max-load search.
 
-A paced run wires one generator thread per ingestion point to an architecture
-machine (pipeline, parallel or shuffle), samples the demand/allocation gap
-while the wall clock runs, and tears everything down with exact conservation
-accounting.  ``auto_search`` drives repeated paced runs to find the maximum
-sustainable load: it shrinks the interarrival mean by a factor while the
-allocator keeps up, backs off to the last sustained value on failure, decays
-the factor and repeats until the factor is exhausted.
+A paced run wires generator threads, each through its own conduit, to one
+``engine.PacedMachine`` stepping the architecture's engine (``PipelineRing``,
+``ParallelRound`` or ``ShuffleEngine``).  Shuffle gets one generator per
+backlog shard, drawing from that shard's slice of the sources; the others
+get one.  The run samples the demand/allocation gap while the wall clock
+runs, and tears everything down with exact conservation accounting.
+``auto_search`` drives repeated paced runs to find the maximum sustainable
+load: it shrinks the interarrival mean by a factor while the allocator keeps
+up, backs off to the last sustained value on failure, decays the factor and
+repeats until the factor is exhausted.
 """
 
 from __future__ import annotations
@@ -26,10 +29,12 @@ from .model import (
     RunResult,
     throughput_bps,
 )
+from .conduits import SpscQueue
+from .engine import PacedMachine
 from .oracle import verify_admitted
-from .parallel import ParallelMachine, run_parallel_deterministic
-from .pipeline import PipelineMachine, run_pipeline_deterministic
-from .shuffle import ShuffleMachine, run_shuffle_deterministic
+from .parallel import ParallelRound, run_parallel_deterministic
+from .pipeline import PipelineRing, run_pipeline_deterministic
+from .shuffle import ShuffleEngine, run_shuffle_deterministic
 from .workload import Arrival, WorkloadSpec, WorkloadStream, shard_spec
 
 #: Generator lag beyond which a run is flagged overloaded (conduits full and
@@ -138,18 +143,12 @@ def run_deterministic(
     return run_shuffle_deterministic(cfg, arrivals, sink=sink, **kwargs)
 
 
-def _build_machine(cfg: Config, sink: Callable[[AdmittedBatch], None]):
-    if cfg.architecture is Architecture.PIPELINED:
-        return PipelineMachine(cfg, sink)
-    if cfg.architecture is Architecture.PARALLEL:
-        return ParallelMachine(cfg, sink)
-    return ShuffleMachine(cfg, sink)
-
-
-def _generator_specs(cfg: Config, spec: WorkloadSpec) -> List[WorkloadSpec]:
-    if cfg.architecture is Architecture.SHUFFLE and cfg.sets > 1:
-        return [shard_spec(spec, shard, cfg.sets) for shard in range(cfg.sets)]
-    return [spec]
+#: The engine each architecture's paced machine steps.
+ENGINES = {
+    Architecture.PIPELINED: PipelineRing,
+    Architecture.PARALLEL: ParallelRound,
+    Architecture.SHUFFLE: ShuffleEngine,
+}
 
 
 def run_paced(
@@ -160,12 +159,16 @@ def run_paced(
 ) -> Tuple[RunResult, List[GapSample]]:
     """One wall-clock stress run; returns the result and the gap samples."""
     own_sink = VerifyingSink() if sink is None else None
-    machine = _build_machine(cfg, sink if sink is not None else own_sink)
+    feeds = cfg.sets if cfg.architecture is Architecture.SHUFFLE else 1
+    specs = [spec] if feeds == 1 else [shard_spec(spec, x, feeds) for x in range(feeds)]
+    conduits = [SpscQueue(cfg.mailbox_depth) for _ in specs]
+    engine = ENGINES[cfg.architecture](cfg)
+    machine = PacedMachine(engine, cfg, sink if sink is not None else own_sink, conduits)
     stop_generators = threading.Event()
     start_ns = time.monotonic_ns()
     generators = [
-        _GeneratorThread(WorkloadStream(s), machine.push, stop_generators, start_ns)
-        for s in _generator_specs(cfg, spec)
+        _GeneratorThread(WorkloadStream(feed), conduit.try_put, stop_generators, start_ns)
+        for feed, conduit in zip(specs, conduits)
     ]
 
     machine.start()
@@ -176,14 +179,14 @@ def run_paced(
     deadline = start_ns + int(duration_s * 1e9)
     while True:
         now = time.monotonic_ns()
-        # a failed lane sets the machine's stop event: end the run early
+        # a failed engine thread sets the machine's stop event: end the run early
         if now >= deadline or machine.stop_event.is_set():
             break
         samples.append(
             GapSample(
                 now - start_ns,
                 sum(g.demanded_slots for g in generators),
-                machine.allocated_slots(),
+                engine.allocated_slots,
             )
         )
         time.sleep(_SAMPLE_INTERVAL_S)
@@ -196,11 +199,9 @@ def run_paced(
 
     metrics = Metrics()
     metrics.demanded_slots = sum(g.demanded_slots for g in generators)
-    metrics.allocated_slots = machine.allocated_slots()
+    metrics.allocated_slots = engine.allocated_slots
     metrics.pending_slots = machine.pending_slots()
-    metrics.cancelled_then_reissued = sum(
-        getattr(lane, "cancelled_slots", 0) for lane in getattr(machine, "lanes", [])
-    )
+    metrics.cancelled_then_reissued = engine.cancelled_slots
     metrics.wall_elapsed_ns = wall_ns
     metrics.throughput_bps = throughput_bps(
         metrics.allocated_slots, cfg.mtu_bytes, wall_ns

@@ -143,6 +143,20 @@ class ArrivalCursor:
         return self._pos >= len(self._ordered)
 
 
+def shard_range(num_nodes: int, shard: int, num_shards: int) -> Tuple[int, int]:
+    """Half-open source range of ``shard`` when the sources are cut into
+    ``num_shards`` contiguous slices."""
+    return (
+        (shard * num_nodes + num_shards - 1) // num_shards,
+        ((shard + 1) * num_nodes + num_shards - 1) // num_shards,
+    )
+
+
+def shard_of(src: int, num_nodes: int, num_shards: int) -> int:
+    """The shard whose ``shard_range`` holds ``src``."""
+    return min(src * num_shards // num_nodes, num_shards - 1)
+
+
 def shard_spec(spec: WorkloadSpec, shard: int, num_shards: int) -> WorkloadSpec:
     """Per-shard sub-stream: a slice of the source space, 1/K of the load.
 
@@ -152,14 +166,12 @@ def shard_spec(spec: WorkloadSpec, shard: int, num_shards: int) -> WorkloadSpec:
     """
     if not 0 <= shard < num_shards:
         raise ValueError(f"shard {shard} out of range [0, {num_shards})")
-    lo = (shard * spec.num_nodes + num_shards - 1) // num_shards
-    hi = ((shard + 1) * spec.num_nodes + num_shards - 1) // num_shards
     sub_seed = int(np.random.SeedSequence([spec.seed, shard]).generate_state(1)[0])
     return replace(
         spec,
         seed=sub_seed,
         mean_interarrival_ns=spec.mean_interarrival_ns * num_shards,
-        src_range=(lo, hi),
+        src_range=shard_range(spec.num_nodes, shard, num_shards),
     )
 
 

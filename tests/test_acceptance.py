@@ -138,8 +138,10 @@ def paced_results():
 class TestCriterion04CapacityInvariant:
     def test_zero_violations_every_architecture(self, paced_results, report):
         detail = {
-            name: f"{sink.batches} batches, {sink.violations} violations"
-            for name, (_, sink) in paced_results.items()
+            name: f"{sink.batches} batches, {sink.violations} violations, "
+            f"overloaded={result.metrics.overloaded}, "
+            f"missed_slots={result.metrics.lane_counters['missed_slots']}"
+            for name, (result, sink) in paced_results.items()
         }
         ok = all(
             sink.violations == 0 and sink.batches > 0
@@ -153,7 +155,8 @@ class TestCriterion04CapacityInvariant:
         for name, (result, _) in paced_results.items():
             m = result.metrics
             detail[name] = (
-                f"{m.demanded_slots} == {m.allocated_slots} + {m.pending_slots}"
+                f"{m.demanded_slots} == {m.allocated_slots} + {m.pending_slots}, "
+                f"overloaded={m.overloaded}, missed_slots={m.lane_counters['missed_slots']}"
             )
             ok = ok and m.conservation_ok()
         report("criterion 5: conservation at drain of every stress run", ok, str(detail))

@@ -57,6 +57,8 @@ class TestDeterministic:
 
     def test_empty_system_emits_empty_batches(self):
         res = run_pipeline_deterministic(cfg(cores=4), [], max_steps=10)
+        # drained before the first step: only close emits, one batch per context
+        assert len(res.batches) == 4
         assert all(len(b.edges) == 0 for b in res.batches)
         assert res.metrics.demanded_slots == 0
         assert res.metrics.allocated_slots == 0

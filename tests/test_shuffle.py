@@ -28,10 +28,8 @@ from slotarbiter.shuffle import (
     Bin,
     alloc_process,
     postalloc_process,
-    shard_for_src,
-    _shard_ranges,
 )
-from slotarbiter.workload import Arrival, WorkloadSpec
+from slotarbiter.workload import Arrival, WorkloadSpec, shard_of, shard_range
 
 from conftest import (
     MAX_REPLAY_STEPS,
@@ -169,12 +167,11 @@ class TestPostallocProcess:
 
 
 class TestShardPartition:
-    def test_ranges_invert_shard_for_src(self):
+    def test_ranges_invert_shard_of(self):
         for nodes, shards in [(10, 4), (256, 2), (256, 4), (7, 3), (64, 8)]:
-            ranges = _shard_ranges(nodes, shards)
             for src in range(nodes):
-                x = shard_for_src(src, nodes, shards)
-                lo, hi = ranges[x]
+                x = shard_of(src, nodes, shards)
+                lo, hi = shard_range(nodes, x, shards)
                 assert lo <= src < hi, (nodes, shards, src)
 
 

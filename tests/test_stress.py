@@ -17,7 +17,9 @@ from slotarbiter import (
     sustain_check,
 )
 from slotarbiter import kernel, parallel, shuffle
-from slotarbiter.stress import GapSample, _build_machine
+from slotarbiter.conduits import SpscQueue
+from slotarbiter.engine import PacedMachine
+from slotarbiter.stress import ENGINES, GapSample
 from slotarbiter.workload import WorkloadSpec
 
 
@@ -141,6 +143,11 @@ def machine_cfg(arch, **kw):
     return Config(num_nodes=32, batch_size=8, architecture=arch, **{**MACHINES[arch][0], **kw})
 
 
+def paced_machine(cfg, sink):
+    """The paced machine ``run_paced`` would build for ``cfg``, with one conduit."""
+    return PacedMachine(ENGINES[cfg.architecture](cfg), cfg, sink, [SpscQueue(cfg.mailbox_depth)])
+
+
 class TestPacedMachines:
     @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
     def test_failing_lane_fails_the_run(self, arch, monkeypatch):
@@ -157,7 +164,7 @@ class TestPacedMachines:
 
     @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
     def test_shutdown_accounting_is_idempotent(self, arch):
-        machine = _build_machine(machine_cfg(arch, mailbox_depth=64), lambda batch: None)
+        machine = paced_machine(machine_cfg(arch, mailbox_depth=64), lambda batch: None)
         demanded = 0
 
         def push_all():
@@ -165,7 +172,7 @@ class TestPacedMachines:
             for i in range(400):
                 src = i % 32
                 demand = Demand(src, (src + 1 + i // 32) % 32, 5)
-                if machine.push(demand):
+                if machine.conduits[0].try_put(demand):
                     demanded += demand.remaining
 
         machine.start()
@@ -175,7 +182,7 @@ class TestPacedMachines:
         push_all()  # left in the conduits: nothing takes them any more
         pending = machine.pending_slots()
         assert machine.pending_slots() == pending
-        assert demanded == machine.allocated_slots() + pending
+        assert demanded == machine.engine.allocated_slots + pending
 
     @pytest.mark.parametrize(
         "arch, kw",
@@ -189,9 +196,49 @@ class TestPacedMachines:
     )
     def test_one_engine_thread(self, arch, kw):
         before = set(threading.enumerate())
-        machine = _build_machine(machine_cfg(arch, **kw), lambda batch: None)
+        machine = paced_machine(machine_cfg(arch, **kw), lambda batch: None)
         machine.start()
         try:
             assert len([t for t in threading.enumerate() if t not in before]) == 1
         finally:
             machine.stop_and_join()
+
+
+class TestSlotClock:
+    """Paced machines hand out slot time in step with the wall clock."""
+
+    @staticmethod
+    def _spans(cfg):
+        batch_ns = cfg.batch_size * cfg.slot_ns
+        shuffle_run = cfg.architecture is Architecture.SHUFFLE
+        pipelined = cfg.architecture is Architecture.PIPELINED
+        emit_ns = (cfg.sets if shuffle_run else 1) * batch_ns
+        close_ns = (cfg.cores if pipelined else 0) * batch_ns
+        return emit_ns, close_ns
+
+    @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
+    def test_slow_clock_never_runs_ahead_of_wall_time(self, arch):
+        # 15 Mbps links: a batch of slots lasts 6.4 ms, longer than a pass
+        cfg = machine_cfg(arch, link_rate_bps=15_000_000)
+        spec = WorkloadSpec(seed=3, num_nodes=32, mean_interarrival_ns=1_000_000)
+        sink = VerifyingSink()
+        result, _ = run_paced(cfg, spec, 1.0, sink=sink)
+        emit_ns, close_ns = self._spans(cfg)
+        emitted_ns = sink.batches * cfg.batch_size * cfg.slot_ns
+        # the machine stops a moment after the run reads its wall time
+        assert emitted_ns <= result.metrics.wall_elapsed_ns + emit_ns + close_ns + 2_000_000
+        assert result.metrics.allocated_slots > 0
+
+    @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
+    def test_overloaded_clock_counts_the_slot_time_it_misses(self, arch):
+        # 10 Gbps links and about twice the slots the machine can allocate:
+        # every pass is late, so most slot time is missed, and counted
+        cfg = machine_cfg(arch)
+        spec = WorkloadSpec(seed=4, num_nodes=32, mean_interarrival_ns=20_000)
+        result, _ = run_paced(cfg, spec, 1.0)
+        counters = result.metrics.lane_counters
+        assert counters["emitted_batches"] > 0 and counters["missed_slots"] > 0
+        clock_ns = (counters["emitted_batches"] * cfg.batch_size + counters["missed_slots"]) * cfg.slot_ns
+        # one pass, which the slot limit keeps to milliseconds, with room for
+        # a GIL switch interval or two on a busy host
+        assert abs(clock_ns - result.metrics.wall_elapsed_ns) <= 50_000_000
