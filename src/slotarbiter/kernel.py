@@ -6,11 +6,12 @@ availability bitmaps with an AND + find-first-set probe.  Two drain modes
 exist:
 
 * PER_SLOT: a drained demand gets at most one timeslot, then parks in the
-  extra list of the slot it received.  The extra lists drain after the
-  pending demands and their survivors stay inside the kernel until the batch
-  is finished.  This deliberately keeps the known head-of-pipeline
-  accumulation behaviour so the batch-mode improvement is measurable against
-  it.
+  extra list of the slot it received as a plain ``(src, dst, left)`` entry
+  whose ``last_alloc`` is ``base_slot`` plus the list's offset.  The extra
+  lists drain after the pending demands, and their entries stay inside the
+  kernel until ``finish`` turns them back into demands.  This deliberately
+  keeps the known head-of-pipeline accumulation behaviour so the batch-mode
+  improvement is measurable against it.
 * BATCH: a drained demand greedily claims consecutive free slots up to the
   batch width, and any survivor flows out immediately; it never re-enters
   this kernel.
@@ -136,7 +137,7 @@ class GreedyKernel:
         self.mode = mode
         self.base_slot = 0
         self.pending: List[Demand] = []
-        self.extra: List[List[Demand]] = [[] for _ in range(batch_size)]
+        self.extra: List[List[Tuple[int, int, int]]] = [[] for _ in range(batch_size)]
         self.bitmaps = BatchBitmaps(num_nodes, batch_size)
         self.edges: List[Tuple[int, int, int]] = []
 
@@ -162,10 +163,11 @@ class GreedyKernel:
         In BATCH mode a demand that cannot be allocated flows out as it is,
         and a partly served one flows out as its survivor.  In PER_SLOT mode
         each demand gets one slot per visit and parks in the extra list of
-        that slot; the extra lists then drain in ascending slot order, so a
-        demand hops forward through them collecting further slots.  A pending
-        demand that gets no slot flows out; a parked one that gets none stays
-        parked.
+        that slot as a ``(src, dst, left)`` entry, whose ``last_alloc`` is
+        ``base_slot`` plus the list's offset; the extra lists then drain in
+        ascending slot order, so an entry hops forward through them collecting
+        further slots.  A pending demand that gets no slot flows out as the
+        same object; a parked entry that gets none stays parked, in order.
         """
         result = SweepResult()
         ordered = lru_order(self.pending, self.base_slot)
@@ -187,39 +189,57 @@ class GreedyKernel:
                         Demand(demand.src, demand.dst, left, base_slot + mask.bit_length() - 1)
                     )
         else:
+            src_rows = bitmaps.src
+            dst_rows = bitmaps.dst
             extra = self.extra
-
-            def claim_one(demand: Demand) -> bool:
-                offset = first_free_slot(bitmaps.src[demand.src], bitmaps.dst[demand.dst])
-                if offset is None:
-                    return False
-                bitmaps.claim(demand.src, demand.dst, offset)
-                edges.append((offset, demand.src, demand.dst))
-                if demand.remaining > 1:
-                    extra[offset].append(
-                        Demand(demand.src, demand.dst, demand.remaining - 1, base_slot + offset)
-                    )
-                return True
-
+            add_edge = edges.append
             for demand in ordered:
-                if not claim_one(demand):
+                src = demand.src
+                dst = demand.dst
+                joint = src_rows[src] & dst_rows[dst]
+                if not joint:
                     outflow.append(demand)
-            # A re-allocated demand always lands at a strictly higher offset
+                    continue
+                low = joint & -joint
+                src_rows[src] ^= low
+                dst_rows[dst] ^= low
+                offset = low.bit_length() - 1
+                add_edge((offset, src, dst))
+                if demand.remaining > 1:
+                    extra[offset].append((src, dst, demand.remaining - 1))
+            # A re-allocated entry always lands at a strictly higher offset
             # than the extra list it came from, so one ascending pass visits
             # every hop, and no list grows while it is being drained.
             for offset, parked in enumerate(extra):
                 if parked:
                     result.drained += len(parked)
-                    extra[offset] = [demand for demand in parked if not claim_one(demand)]
+                    stay: List[Tuple[int, int, int]] = []
+                    for entry in parked:
+                        src, dst, left = entry
+                        joint = src_rows[src] & dst_rows[dst]
+                        if not joint:
+                            stay.append(entry)
+                            continue
+                        low = joint & -joint
+                        src_rows[src] ^= low
+                        dst_rows[dst] ^= low
+                        hop = low.bit_length() - 1
+                        add_edge((hop, src, dst))
+                        if left > 1:
+                            extra[hop].append((src, dst, left - 1))
+                    extra[offset] = stay
         self.edges.extend(edges)
         return result
 
     def finish(self) -> Tuple[AdmittedBatch, List[Demand]]:
-        """Close the batch: emit admissions and flush retained survivors."""
+        """Close the batch: emit admissions and flush retained survivors, each
+        parked entry as ``Demand(src, dst, left, base_slot + offset)``."""
         leftovers: List[Demand] = []
-        for parked in self.extra:
-            leftovers.extend(parked)
-            parked.clear()
+        for offset, parked in enumerate(self.extra):
+            if parked:
+                last_alloc = self.base_slot + offset
+                leftovers.extend(Demand(src, dst, left, last_alloc) for src, dst, left in parked)
+                parked.clear()
         if self.pending:  # only possible if finish is called without a sweep
             leftovers.extend(lru_order(self.pending, self.base_slot))
             self.pending = []
@@ -228,5 +248,5 @@ class GreedyKernel:
 
     def pending_slots(self) -> int:
         """Remaining slot count of every demand still inside the kernel."""
-        parked = [d for queue in self.extra for d in queue]
-        return sum(d.remaining for d in self.pending + parked)
+        parked = sum(left for queue in self.extra for _, _, left in queue)
+        return parked + sum(d.remaining for d in self.pending)

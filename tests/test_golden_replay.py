@@ -78,6 +78,9 @@ CASES = [
     ("slot-2", "dense", {"cores": 2, "mode": PER_SLOT}, 100_000),
     ("slot-3", "dense", {"cores": 3, "mode": PER_SLOT}, 100_000),
     ("slot-2-mid", "dense", {"cores": 2, "mode": PER_SLOT, "mid_pipeline_ingest": True}, 100_000),
+    ("slot-4", "dense", {"cores": 4, "mode": PER_SLOT}, 100_000),
+    ("slot-1-sparse", "sparse", {"cores": 1, "mode": PER_SLOT}, 100_000),
+    ("slot-3-sparse", "sparse", {"cores": 3, "mode": PER_SLOT}, 100_000),
     ("pipe-2-sparse", "sparse", {"cores": 2}, 100_000),
     ("par-1", "dense", {"architecture": PARALLEL, "lanes": 1}, 100_000),
     ("par-2", "dense", {"architecture": PARALLEL, "lanes": 2}, 100_000),
@@ -106,6 +109,9 @@ GOLDEN = {
     "slot-2": ("e3734716610a9583", 39, 4206, 0, 0),
     "slot-3": ("4ecd079908f04fac", 40, 4206, 0, 0),
     "slot-2-mid": ("a03c364464ab5783", 40, 4206, 0, 0),
+    "slot-4": ("4ecd079908f04fac", 41, 4206, 0, 0),
+    "slot-1-sparse": ("8068b5bc6754d1ae", 13, 1018, 0, 0),
+    "slot-3-sparse": ("8068b5bc6754d1ae", 15, 1018, 0, 0),
     "pipe-2-sparse": ("008e2d1412e6901d", 14, 1018, 0, 0),
     "par-1": ("fccbd02bfcdd25be", 37, 4206, 0, 0),
     "par-2": ("52d3bce457c2bbfd", 38, 4206, 0, 2235),

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import slotarbiter
@@ -255,18 +255,106 @@ class TestAllocateBatch:
         assert result.edges == [] and result.outflow == []
 
     def test_per_slot_parks_in_extra_bin(self):
-        result, bins = _sweep([Demand(1, 2, 100)], 8, AllocationMode.PER_SLOT)
+        result, kernel = _sweep([Demand(1, 2, 100)], 8, AllocationMode.PER_SLOT)
         # one slot per drain, then hops through the extra bins
         assert len(result.edges) == 8
         assert result.outflow == []
-        parked = [d for q in bins.extra for d in q]
-        assert parked == [Demand(1, 2, 92, last_alloc=8)]
+        assert kernel.pending_slots() == 92
+        _, leftovers = kernel.finish()
+        assert leftovers == [Demand(1, 2, 92, last_alloc=8)]
+        assert kernel.pending_slots() == 0 and kernel.is_empty()
 
     def test_per_slot_unallocatable_flows_out(self):
         demands = [Demand(1, 2, 1), Demand(3, 2, 1)]
         result, _ = _sweep(demands, 1, AllocationMode.PER_SLOT)
         assert len(result.edges) == 1
         assert result.outflow == [Demand(3, 2, 1)]
+
+
+class _DemandPerSlotKernel:
+    """The per-slot drain written on ``Demand`` objects, with a helper call per
+    claim: the reference the flat extra-list entries are checked against."""
+
+    def __init__(self, num_nodes, batch_size, base_slot):
+        self.base_slot = base_slot
+        self.pending = []
+        self.extra = [[] for _ in range(batch_size)]
+        self.bitmaps = BatchBitmaps(num_nodes, batch_size)
+        self.edges = []
+
+    def sweep(self):
+        ordered = lru_order(self.pending, self.base_slot)
+        self.pending = []
+        drained = len(ordered)
+        bitmaps, extra, edges, outflow = self.bitmaps, self.extra, [], []
+
+        def claim_one(demand):
+            offset = first_free_slot(bitmaps.src[demand.src], bitmaps.dst[demand.dst])
+            if offset is None:
+                return False
+            bitmaps.claim(demand.src, demand.dst, offset)
+            edges.append((offset, demand.src, demand.dst))
+            if demand.remaining > 1:
+                extra[offset].append(
+                    Demand(demand.src, demand.dst, demand.remaining - 1, self.base_slot + offset))
+            return True
+
+        for demand in ordered:
+            if not claim_one(demand):
+                outflow.append(demand)
+        for offset, parked in enumerate(extra):
+            if parked:
+                drained += len(parked)
+                extra[offset] = [demand for demand in parked if not claim_one(demand)]
+        self.edges.extend(edges)
+        return edges, outflow, drained
+
+    def pending_slots(self):
+        return sum(d.remaining for d in self.pending + [d for q in self.extra for d in q])
+
+
+@st.composite
+def _per_slot_rounds(draw):
+    """A batch width, a base slot and several rounds of fresh demands."""
+    batch_size = draw(st.sampled_from(VALID_BATCH_SIZES))
+    num_nodes = draw(st.integers(2, 6))
+    base = draw(st.integers(1, 80))
+    pair = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)).filter(
+        lambda p: p[0] != p[1])
+    demand = st.builds(lambda p, n, last: Demand(p[0], p[1], n, last),
+                       pair, st.integers(1, 2 * batch_size + 2), st.integers(0, base))
+    rounds = draw(st.lists(
+        st.tuples(st.lists(demand, max_size=10), st.booleans()), min_size=1, max_size=6))
+    return num_nodes, batch_size, base, rounds
+
+
+class TestPerSlotMultiSweep:
+    """Parked entries carried across several sweeps of one batch."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_per_slot_rounds())
+    def test_matches_demand_reference(self, drawn):
+        num_nodes, batch_size, base, rounds = drawn
+        kernel = GreedyKernel(num_nodes, batch_size, AllocationMode.PER_SLOT)
+        kernel.reset(base)
+        reference = _DemandPerSlotKernel(num_nodes, batch_size, base)
+        requeue = []
+        for fresh, take_back in rounds:
+            feed = requeue + fresh
+            kernel.ingest(feed)
+            reference.pending.extend(feed)
+            result = kernel.sweep()
+            edges, outflow, drained = reference.sweep()
+            assert result.edges == edges
+            assert len(result.outflow) == len(outflow)
+            assert all(got is want for got, want in zip(result.outflow, outflow))
+            assert result.drained == drained
+            assert kernel.pending_slots() == reference.pending_slots()
+            requeue = result.outflow if take_back else []
+        batch, leftovers = kernel.finish()
+        assert list(batch.edges) == reference.edges
+        assert leftovers == [d for q in reference.extra for d in q]
+        assert kernel.is_empty() and kernel.pending_slots() == 0
 
 
 class TestKernelOracleEquivalence:
