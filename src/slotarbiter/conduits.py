@@ -3,9 +3,11 @@
 Both are single-producer single-consumer by contract.  SpscQueue is the
 demand conduit between one generator thread and a paced machine's thread
 (``engine.PacedMachine``).  Mailbox is the one-slot bin cell with an
-explicit full/empty flag: the shuffle distributor's grids are made of them,
-and one thread, the engine's, puts and takes every bin.  ``snapshot`` reads
-a queue without taking from it, for shutdown accounting.
+explicit full/empty flag: the shuffle distributor's two K x K grids are made
+of them.  Each round every shard sends K bins, one through each cell of its
+row, and each alloc set takes K, one from each shard, checking every bin's
+round, index and target; one thread, the engine's, puts and takes every bin.
+``snapshot`` reads a queue without taking from it, for shutdown accounting.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
 """Random-shuffle architecture: backlog shards, alloc sets, distributor.
 
 Backlog shards hold the per-(src, dst) dedup table for a contiguous slice of
-the source space and fill demands into fixed-capacity bins in LRU order.
-Round r sends shard x's bin to alloc set (A*x + B) mod K; the set claims
-slots for the whole bin in one ``kernel.allocate_slots`` pass against fresh
-bitmaps, whose per-entry masks are the result bits (``alloc_process``), then
-splits spent from remaining entries and emits the edges the pass claimed
-(``postalloc_process``), and the inverse distributor carries the bin back to
-its origin shard based on the same round's parameters.
+the source space.  Each round, every shard x of the K takes its K*capacity
+most-starved demands in LRU order (``fill_bin``) and deals them round-robin
+into K bins, and the distributor sends bin k to alloc set
+(permute(x, r) + k) mod K, so every set gets one bin from every shard.  A set
+checks each bin's round, index and target before it claims slots for its K
+bins against one shared set of fresh bitmaps, one ``kernel.allocate_slots``
+pass per bin whose per-entry masks are the result bits (``alloc_process``);
+it splits spent from remaining entries and emits the claimed edges as one
+batch (``postalloc_process``), and the inverse distributor carries every bin
+back to its origin shard.
 
 ``ShuffleEngine`` is the only copy of a round, behind the engine contract
 of ``engine.py``: ``admit`` routes demands to their shards and ``emit`` runs
@@ -28,7 +31,7 @@ from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order
 from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, RunResult
 from .permutation import PermutationSpec
-from .workload import Arrival, shard_of, shard_range
+from .workload import Arrival, shard_range
 
 Edge = Tuple[int, int, int]
 
@@ -39,8 +42,9 @@ class Bin:
 
     origin: int
     round_index: int = 0
+    index: int = 0  # k among the origin shard's K bins of the round
     capacity: int = 64
-    sent_ns: int = 0  # monotonic stamp of the latest send to an alloc set
+    sent_ns: int = 0  # monotonic stamp of the origin shard's send of the round's bins
     entries: List[Demand] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
     edges: List[Edge] = field(default_factory=list)  # the pass's claims, in entry order
@@ -80,30 +84,33 @@ class BacklogShard:
         self.ingested_slots = 0
 
     def ingest(self, demand: Demand) -> None:
-        if not self.src_lo <= demand.src < self.src_hi:
+        src = demand.src
+        if not self.src_lo <= src < self.src_hi:
             raise ValueError(
-                f"src {demand.src} outside shard {self.shard_id} range "
+                f"src {src} outside shard {self.shard_id} range "
                 f"[{self.src_lo}, {self.src_hi})"
             )
         self.ingested_slots += demand.remaining
-        pair = (demand.src, demand.dst)
+        pair = (src, demand.dst)
         state = self.table.get(pair)
         if state is None:
-            state = PairState()
-            self.table[pair] = state
+            state = self.table[pair] = PairState()
         if state.in_flight:
             state.accrued += demand.remaining
-        else:
-            state.in_flight = True
-            self.staging.append(
-                Demand(demand.src, demand.dst, demand.remaining, state.last_alloc)
-            )
+            return
+        state.in_flight = True
+        # staged demands carry the pair's LRU key; a fresh pair's is 0 already
+        if demand.last_alloc != state.last_alloc:
+            demand = Demand(src, demand.dst, demand.remaining, state.last_alloc)
+        self.staging.append(demand)
 
     def fill_bin(self, bin_: Bin, current_base: int) -> None:
-        """Move staged demands into the bin, most-starved first.
+        """Move up to ``bin_.capacity`` staged demands into the bin,
+        most-starved first.
 
         The staging list is put in ``lru_order`` for ``current_base``: the
-        bin takes its head and the rest stays staged in that order.
+        bin takes its head and the rest stays staged in that order.  The
+        engine fills one K*capacity bin per shard per round and deals it.
         """
         ordered = lru_order(self.staging, current_base)
         take = ordered[: bin_.capacity]
@@ -170,11 +177,18 @@ def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
 class ShuffleEngine:
     """One shuffle allocator: K backlog shards, K alloc sets, the distributor.
 
-    ``emit`` runs one round.  Every shard fills its bin and the distributor
-    carries it to alloc set ``permute(x, r)``; every set allocates and splits
-    the bin it takes, and the inverse distributor carries the bin home.  Bins
-    travel through two K x K grids of one-slot mailboxes, ``dist[x][y]`` out
-    and ``inv[y][x]`` back, and every cell is empty again when a round ends.
+    ``emit`` runs one full-width round.  Every shard fills K bins of up to
+    ``bin_capacity`` entries each, and the distributor carries its bin k to
+    alloc set ``(permute(x, r) + k) mod K``, so each set gets one bin from
+    every shard.  Set y takes its bin k from shard ``invert((y - k) mod K, r)``
+    and checks the bin's round, its index and ``permute(origin, r) + index
+    == y`` (mod K), raising ``RuntimeError`` on any mismatch; it allocates its
+    K bins in ascending k into one batch.  The inverse distributor carries
+    every bin home.  Bins travel through two K x K grids of one-slot
+    mailboxes, ``dist[x][y]`` out and ``inv[y][x]`` back: each cell carries
+    exactly one bin per round and is empty again when the round ends.  One
+    circulation sample per shard per round runs from the shard's send of its
+    K bins to the return of its last one.
     """
 
     cancelled_slots = 0
@@ -190,7 +204,7 @@ class ShuffleEngine:
         self.inv = [[Mailbox() for _ in range(num_sets)] for _ in range(num_sets)]
         self.round_index = 0
         self.allocated_slots = 0
-        self.circulation_ns: List[int] = []  # send-to-return time of every bin
+        self.circulation_ns: List[int] = []  # one send-to-last-return time per shard per round
 
     def base_for(self, set_id: int, round_index: int) -> int:
         return 1 + (round_index * self.cfg.sets + set_id) * self.cfg.batch_size
@@ -202,45 +216,65 @@ class ShuffleEngine:
     def admit(self, demands: Sequence[Demand]) -> bool:
         """Route each demand to the shard that owns its source."""
         shards = self.shards
+        num_sets = len(shards)
         num_nodes = self.cfg.num_nodes
         for demand in demands:
-            shards[shard_of(demand.src, num_nodes, len(shards))].ingest(demand)
+            # ``shard_of`` inlined; an out-of-range source still lands in a
+            # shard, and that shard's range check rejects it
+            shards[demand.src * num_sets // num_nodes % num_sets].ingest(demand)
         return any(shard.staging for shard in shards)
 
     def emit(self) -> List[AdmittedBatch]:
         """Run one round; return its batches in slot order."""
         cfg = self.cfg
         perm = self.perm
+        num_sets = cfg.sets
+        capacity = cfg.bin_capacity
         r = self.round_index
+        first_base = self.base_for(0, r)
+        for shard in self.shards:
+            x = shard.shard_id
+            take = Bin(origin=x, capacity=num_sets * capacity)
+            shard.fill_bin(take, first_base)
+            target = perm.permute(x, r)
+            sent_ns = time.monotonic_ns()
+            for k in range(num_sets):
+                bin_ = Bin(x, r, k, capacity, sent_ns, take.entries[k::num_sets])
+                self.dist[x][(target + k) % num_sets].try_put(bin_)
+
+        batches: List[AdmittedBatch] = []
+        for y in range(num_sets):
+            base = self.base_for(y, r)
+            bitmaps = BatchBitmaps(cfg.num_nodes, cfg.batch_size)
+            edges: List[Edge] = []
+            for k in range(num_sets):
+                bin_ = self.dist[perm.invert((y - k) % num_sets, r)][y].try_take()
+                # the cell was picked with invert(); check the bin with permute()
+                if (
+                    bin_ is None
+                    or bin_.round_index != r
+                    or bin_.index != k
+                    or (perm.permute(bin_.origin, r) + k) % num_sets != y
+                ):
+                    got = "no bin" if bin_ is None else (
+                        f"shard {bin_.origin}'s bin {bin_.index} of round {bin_.round_index}"
+                    )
+                    raise RuntimeError(
+                        f"inverse distributor gave alloc set {y} of round {r} {got} as bin {k}"
+                    )
+                alloc_process(bin_, bitmaps)
+                edges += postalloc_process(bin_, base)
+                self.inv[y][bin_.origin].try_put(bin_)
+            batches.append(AdmittedBatch(base, cfg.batch_size, tuple(edges)))
+            self.allocated_slots += len(edges)
+
         for shard in self.shards:
             x = shard.shard_id
             target = perm.permute(x, r)
-            bin_ = Bin(origin=x, round_index=r, capacity=cfg.bin_capacity)
-            shard.fill_bin(bin_, self.base_for(target, r))
-            bin_.sent_ns = time.monotonic_ns()
-            self.dist[x][target].try_put(bin_)
-
-        batches: List[AdmittedBatch] = []
-        for y in range(cfg.sets):
-            bin_ = self.dist[perm.invert(y, r)][y].try_take()
-            # the cell was picked with invert(); check the bin with permute()
-            if bin_ is None or bin_.round_index != r or perm.permute(bin_.origin, r) != y:
-                got = "no bin" if bin_ is None else (
-                    f"shard {bin_.origin}'s bin of round {bin_.round_index}"
-                )
-                raise RuntimeError(f"inverse distributor gave alloc set {y} of round {r} {got}")
-            base = self.base_for(y, r)
-            alloc_process(bin_, BatchBitmaps(cfg.num_nodes, cfg.batch_size))
-            edges = postalloc_process(bin_, base)
-            batches.append(AdmittedBatch(base, cfg.batch_size, tuple(edges)))
-            self.allocated_slots += len(edges)
-            self.inv[y][bin_.origin].try_put(bin_)
-
-        for shard in self.shards:
-            x = shard.shard_id
-            bin_ = self.inv[perm.permute(x, r)][x].try_take()
+            for k in range(num_sets):
+                bin_ = self.inv[(target + k) % num_sets][x].try_take()
+                shard.absorb_return(bin_)
             self.circulation_ns.append(time.monotonic_ns() - bin_.sent_ns)
-            shard.absorb_return(bin_)
         self.round_index += 1
         return batches
 
@@ -290,7 +324,7 @@ def _circulation_stats(samples_ns: Sequence[int]) -> Dict[str, float]:
 
 
 #: Slots each standing-backlog demand asks for: more than any bench serves,
-#: so every pair stays live and every returned bin restages full.
+#: so every pair stays live and every returned entry is restaged.
 _STANDING_DEMAND = 1 << 40
 
 
@@ -303,10 +337,14 @@ def bench_distributor(
 ) -> Dict[str, float]:
     """Measure bin circulation latency through backlog -> alloc -> postalloc.
 
-    Steps a ShuffleEngine ``circulations`` rounds.  A standing backlog of
-    ``entries_per_bin`` distinct pairs per shard keeps every bin full, and the
-    engine records the send-to-return time of every bin.  Returns the latency
-    stats of all ``circulations * num_sets`` samples, in microseconds.
+    Steps a ShuffleEngine ``circulations`` rounds with ``bin_capacity``
+    ``entries_per_bin``.  Each shard holds a standing backlog of
+    ``entries_per_bin`` distinct pairs, so a round carries
+    ``entries_per_bin`` entries per shard; at K sets a shard deals them
+    across its K bins, so bins are full only when K == 1.  One circulation
+    sample runs from a shard's send of its K bins to the return of its last
+    one.  Returns the latency stats of all ``circulations * num_sets``
+    samples, in microseconds.
     """
     cfg = Config(
         num_nodes,

@@ -120,11 +120,11 @@ GOLDEN = {
     "par-2-cut": ("5c3db42d4ab81496", 6, 599, 393, 272),
     "par-3-sparse": ("2f95d66f44f8bfa7", 13, 1018, 0, 448),
     "shuf-1": ("f738f2ed6b5cd0e3", 37, 4206, 0, 0),
-    "shuf-2": ("95bcd76f25e9726d", 58, 4206, 0, 0),
-    "shuf-3": ("61ddcc4c3ebf2bee", 87, 4206, 0, 0),
-    "shuf-2-bin4": ("a9a7f9da2f4f9e49", 202, 4206, 0, 0),
-    "shuf-2-cut": ("d977c23b4efdddd2", 12, 1027, 1091, 0),
-    "shuf-3-sparse": ("0412eddf86253849", 18, 1018, 0, 0),
+    "shuf-2": ("e3f079c471d87b97", 40, 4206, 0, 0),
+    "shuf-3": ("1e669c6a4197de0f", 48, 4206, 0, 0),
+    "shuf-2-bin4": ("ae877805727f79ca", 108, 4206, 0, 0),
+    "shuf-2-cut": ("4533620f43bf4bb2", 12, 1276, 842, 0),
+    "shuf-3-sparse": ("393b41dec06a0774", 15, 1018, 0, 0),
 }
 
 

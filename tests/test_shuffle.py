@@ -22,10 +22,13 @@ from slotarbiter import (
     run_shuffle_deterministic,
     verify_admitted,
 )
+from slotarbiter.conduits import Mailbox
 from slotarbiter.model import BatchBitmaps
+from slotarbiter.permutation import PermutationSpec
 from slotarbiter.shuffle import (
     BacklogShard,
     Bin,
+    ShuffleEngine,
     alloc_process,
     postalloc_process,
 )
@@ -114,6 +117,22 @@ class TestBacklogShard:
         with pytest.raises(ValueError):
             shard.ingest(Demand(9, 2, 5))
 
+    def test_fresh_pair_stages_the_arriving_demand(self):
+        shard = BacklogShard(0, 0, 8)
+        demand = Demand(1, 2, 5)
+        shard.ingest(demand)
+        assert shard.staging[0] is demand
+
+    def test_reissued_pair_is_staged_with_its_lru_key(self):
+        shard = BacklogShard(0, 0, 8)
+        shard.ingest(Demand(1, 2, 5))
+        bin_ = Bin(origin=0)
+        shard.fill_bin(bin_, 1)
+        bin_.completed = [(1, 2, 7)]
+        shard.absorb_return(bin_)
+        shard.ingest(Demand(1, 2, 3))
+        assert shard.staging == [Demand(1, 2, 3, last_alloc=7)]
+
 
 class TestAllocProcess:
     def test_non_contending_bin_fully_allocated(self):
@@ -164,6 +183,93 @@ class TestPostallocProcess:
         edges = postalloc_process(bin_, base_slot=9)
         assert edges == []
         assert bin_.remainders == [entry]
+
+
+def _standing_engine(sets, per_shard, bin_capacity=4, num_nodes=64):
+    """An engine whose every shard stages ``per_shard`` one-slot demands."""
+    engine = ShuffleEngine(cfg(num_nodes=num_nodes, sets=sets, bin_capacity=bin_capacity))
+    demands = []
+    for shard in engine.shards:
+        width = shard.src_hi - shard.src_lo
+        for i in range(per_shard):
+            src = shard.src_lo + i % width
+            demands.append(Demand(src, (src + 1 + i // width) % num_nodes, 1))
+    engine.admit(demands)
+    return engine
+
+
+class MislabellingMailbox(Mailbox):
+    """A distributor cell that moves the bin's ``index`` or ``origin`` label
+    on to the next of ``sets`` values."""
+
+    def __init__(self, label, sets):
+        super().__init__()
+        self.label = label
+        self.sets = sets
+
+    def try_put(self, bin_):
+        setattr(bin_, self.label, (getattr(bin_, self.label) + 1) % self.sets)
+        return super().try_put(bin_)
+
+
+class TestFullWidthRound:
+    @pytest.mark.parametrize("sets", [2, 4])
+    def test_every_set_batch_holds_every_shard(self, sets):
+        rounds = 3
+        engine = _standing_engine(sets, per_shard=rounds * sets * 4 + 3)
+        for _ in range(rounds):
+            assert all(len(shard.staging) > sets * 4 for shard in engine.shards)
+            batches = engine.emit()
+            assert len(batches) == sets
+            for batch in batches:
+                assert verify_admitted(batch) is None
+                origins = {shard_of(src, 64, sets) for _, src, _ in batch.edges}
+                assert origins == set(range(sets)), batch.base_slot
+
+    @pytest.mark.parametrize("sets", [1, 2, 4])
+    def test_round_deals_k_bins_per_shard(self, sets, monkeypatch):
+        filled = []
+        alloc = alloc_process
+
+        def counted(bin_, bitmaps):
+            filled.append((bin_.origin, bin_.index, len(bin_.entries)))
+            alloc(bin_, bitmaps)
+
+        monkeypatch.setattr(slotarbiter.shuffle, "alloc_process", counted)
+        engine = _standing_engine(sets, per_shard=sets * 4 + 3)
+        engine.emit()
+        assert sorted(filled) == [(x, k, 4) for x in range(sets) for k in range(sets)]
+        counters = engine.counters()
+        assert counters["staging"] == [3] * sets
+        assert counters["circulations"] == sets
+
+    # a wrong index is seen only by the index check, a wrong origin only by
+    # the permute() check
+    @pytest.mark.parametrize("label", ["index", "origin"])
+    @pytest.mark.parametrize("sets", [2, 4])
+    def test_mislabelled_bin_is_refused(self, sets, label):
+        engine = _standing_engine(sets, per_shard=sets * 4)
+        engine.dist[0][engine.perm.permute(0, 0)] = MislabellingMailbox(label, sets)
+        with pytest.raises(RuntimeError, match="alloc set"):
+            engine.emit()
+
+    @pytest.mark.parametrize("sets", [2, 4])
+    def test_bin_sent_to_wrong_set_is_refused(self, sets, monkeypatch):
+        # a skewed permute() sends every bin one set too far, so set 0 takes
+        # a bin of the wrong index from the shard invert() names
+        permute = PermutationSpec.permute
+        monkeypatch.setattr(
+            PermutationSpec, "permute", lambda self, x, i: (permute(self, x, i) + 1) % self.size
+        )
+        engine = _standing_engine(sets, per_shard=sets * 4)
+        with pytest.raises(RuntimeError, match="alloc set 0 of round 0"):
+            engine.emit()
+
+    @pytest.mark.parametrize("sets, src", [(1, 64), (2, 64), (2, 95), (2, -1), (3, 64), (4, 1000)])
+    def test_admit_rejects_out_of_range_source(self, sets, src):
+        engine = ShuffleEngine(cfg(num_nodes=64, sets=sets))
+        with pytest.raises(ValueError, match="outside shard"):
+            engine.admit([Demand(src, 1, 3)])
 
 
 class TestShardPartition:
