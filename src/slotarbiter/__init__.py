@@ -19,7 +19,7 @@ from .model import (
     throughput_bps,
     timeslot_duration,
 )
-from .kernel import GreedyKernel, first_free_slot, lru_order
+from .kernel import GreedyKernel, lru_order
 from .oracle import (
     bin_index,
     canonical_order,
@@ -77,7 +77,6 @@ __all__ = [
     "bench_distributor",
     "bin_index",
     "canonical_order",
-    "first_free_slot",
     "lru_order",
     "mean_t_for_load",
     "oracle_allocate",

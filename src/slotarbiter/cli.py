@@ -42,7 +42,6 @@ def _build_config(args: argparse.Namespace) -> Config:
         sets=args.sets,
         gap_bound=args.gap_bound,
         mailbox_depth=args.mailbox_depth,
-        bin_capacity=args.bin_capacity,
         mid_pipeline_ingest=args.mid_pipeline_ingest,
     )
 
@@ -220,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--probe-duration", type=float, default=2.0)
     run.add_argument("--gap-bound", type=int, default=10_000)
     run.add_argument("--mailbox-depth", type=int, default=4096)
-    run.add_argument("--bin-capacity", type=int, default=64)
     run.add_argument("--mid-pipeline-ingest", action="store_true")
     run.add_argument("--trace-in", default=None)
     run.add_argument("--trace-out", default=None)

@@ -28,21 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .model import AdmittedBatch, AllocationMode, BatchBitmaps, Demand
 
 #: Coarse LRU priority levels: a demand starved for this many slots less one
 #: ranks with every demand starved longer.
 NUM_PRIORITY_BINS = 32
-
-
-def first_free_slot(src_row: int, dst_row: int) -> Optional[int]:
-    """Lowest slot offset free in both rows, or None if none is."""
-    joint = src_row & dst_row
-    if joint == 0:
-        return None
-    return (joint & -joint).bit_length() - 1
 
 
 def lru_order(

@@ -119,11 +119,6 @@ class BatchBitmaps:
         self.src = [self.full] * num_nodes
         self.dst = [self.full] * num_nodes
 
-    def claim(self, src: int, dst: int, offset: int) -> None:
-        bit = ~(1 << offset)
-        self.src[src] &= bit
-        self.dst[dst] &= bit
-
 
 @dataclass
 class Metrics:
@@ -177,7 +172,6 @@ class Config:
     sets: int = 1
     gap_bound: int = 10_000
     mailbox_depth: int = 4096
-    bin_capacity: int = 64
     mid_pipeline_ingest: bool = False
 
     def __post_init__(self) -> None:
@@ -189,7 +183,7 @@ class Config:
             )
         if self.mtu_bytes <= 0 or self.link_rate_bps <= 0:
             raise ConfigError("mtu_bytes and link_rate_bps must be positive")
-        for name in ("cores", "lanes", "sets", "bin_capacity"):
+        for name in ("cores", "lanes", "sets"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.mailbox_depth < 1:

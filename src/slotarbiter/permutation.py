@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import List, Tuple
+from typing import Tuple
 
 P1_DEFAULT = 2654435761
 P2_DEFAULT = 40503
@@ -60,7 +60,3 @@ class PermutationSpec:
             return 0
         a, b = self.params(round_index)
         return (pow(a, -1, self.size) * (y - b)) % self.size
-
-    def column(self, round_index: int) -> List[int]:
-        """Destination of every shard's bin in one round."""
-        return [self.permute(x, round_index) for x in range(self.size)]

@@ -1,16 +1,15 @@
 """Random-shuffle architecture: backlog shards, alloc sets, distributor.
 
 Backlog shards hold the per-(src, dst) dedup table for a contiguous slice of
-the source space.  Each round, every shard x of the K takes its K*capacity
-most-starved demands in LRU order (``fill_bin``) and deals them round-robin
-into K bins, and the distributor sends bin k to alloc set
-(permute(x, r) + k) mod K, so every set gets one bin from every shard.  A set
-checks each bin's round, index and target before it claims slots for its K
-bins against one shared set of fresh bitmaps, one ``kernel.allocate_slots``
-pass per bin whose per-entry masks are the result bits (``alloc_process``);
-it splits spent from remaining entries and emits the claimed edges as one
-batch (``postalloc_process``), and the inverse distributor carries every bin
-back to its origin shard.
+the source space.  Each round, every shard x of the K takes its whole staged
+backlog in LRU order (``fill_bin``) and deals it round-robin into K bins, and
+the distributor sends bin k to alloc set (permute(x, r) + k) mod K, so every
+set gets one bin from every shard.  A set checks each bin's round, index and
+target before it claims slots for its K bins against one shared set of fresh
+bitmaps, one ``kernel.allocate_slots`` pass per bin whose per-entry masks are
+the result bits (``alloc_process``); it splits spent from remaining entries
+and emits the claimed edges as one batch (``postalloc_process``), and the
+inverse distributor carries every bin back to its origin shard.
 
 ``ShuffleEngine`` is the only copy of a round, behind the engine contract
 of ``engine.py``: ``admit`` routes demands to their shards and ``emit`` runs
@@ -38,12 +37,12 @@ Edge = Tuple[int, int, int]
 
 @dataclass
 class Bin:
-    """Fixed-capacity demand container circulated from a shard to a set and back."""
+    """Demand container circulated from a shard to a set and back."""
 
     origin: int
     round_index: int = 0
     index: int = 0  # k among the origin shard's K bins of the round
-    capacity: int = 64
+    capacity: int = 0  # the count ``fill_bin`` took, so a filled bin is full
     sent_ns: int = 0  # monotonic stamp of the origin shard's send of the round's bins
     entries: List[Demand] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
@@ -105,17 +104,15 @@ class BacklogShard:
         self.staging.append(demand)
 
     def fill_bin(self, bin_: Bin, current_base: int) -> None:
-        """Move up to ``bin_.capacity`` staged demands into the bin,
-        most-starved first.
+        """Move every staged demand into the bin, most-starved first.
 
-        The staging list is put in ``lru_order`` for ``current_base``: the
-        bin takes its head and the rest stays staged in that order.  The
-        engine fills one K*capacity bin per shard per round and deals it.
+        The bin takes the staging list in ``lru_order`` for ``current_base``
+        and sets its capacity to the count taken; staging is left empty.  The
+        engine fills one bin per shard per round and deals it.
         """
-        ordered = lru_order(self.staging, current_base)
-        take = ordered[: bin_.capacity]
-        bin_.entries = take
-        self.staging = ordered[len(take):]
+        bin_.entries = lru_order(self.staging, current_base)
+        bin_.capacity = len(bin_.entries)
+        self.staging = []
 
     def absorb_return(self, bin_: Bin) -> None:
         """Take a returned bin apart: close spent pairs, restage remainders."""
@@ -127,9 +124,8 @@ class BacklogShard:
                 state.accrued = 0
             else:
                 state.in_flight = False
-        for demand in bin_.remainders:
-            self.table[(demand.src, demand.dst)].last_alloc = demand.last_alloc
-            self.staging.append(demand)
+        # a remainder's pair key is read only after a completion sets it
+        self.staging.extend(bin_.remainders)
         bin_.clear()
 
     def pending_slots(self) -> int:
@@ -177,10 +173,11 @@ def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
 class ShuffleEngine:
     """One shuffle allocator: K backlog shards, K alloc sets, the distributor.
 
-    ``emit`` runs one full-width round.  Every shard fills K bins of up to
-    ``bin_capacity`` entries each, and the distributor carries its bin k to
-    alloc set ``(permute(x, r) + k) mod K``, so each set gets one bin from
-    every shard.  Set y takes its bin k from shard ``invert((y - k) mod K, r)``
+    ``emit`` runs one full-width round.  Every shard deals its whole staged
+    backlog, in LRU order, round-robin into K bins (bin k gets entries k,
+    k + K, ...), and the distributor carries its bin k to alloc set
+    ``(permute(x, r) + k) mod K``, so each set gets one bin from every
+    shard.  Set y takes its bin k from shard ``invert((y - k) mod K, r)``
     and checks the bin's round, its index and ``permute(origin, r) + index
     == y`` (mod K), raising ``RuntimeError`` on any mismatch; it allocates its
     K bins in ascending k into one batch.  The inverse distributor carries
@@ -229,17 +226,16 @@ class ShuffleEngine:
         cfg = self.cfg
         perm = self.perm
         num_sets = cfg.sets
-        capacity = cfg.bin_capacity
         r = self.round_index
         first_base = self.base_for(0, r)
         for shard in self.shards:
             x = shard.shard_id
-            take = Bin(origin=x, capacity=num_sets * capacity)
+            take = Bin(origin=x)
             shard.fill_bin(take, first_base)
             target = perm.permute(x, r)
             sent_ns = time.monotonic_ns()
             for k in range(num_sets):
-                bin_ = Bin(x, r, k, capacity, sent_ns, take.entries[k::num_sets])
+                bin_ = Bin(x, r, k, sent_ns=sent_ns, entries=take.entries[k::num_sets])
                 self.dist[x][(target + k) % num_sets].try_put(bin_)
 
         batches: List[AdmittedBatch] = []
@@ -331,32 +327,24 @@ _STANDING_DEMAND = 1 << 40
 def bench_distributor(
     num_sets: int,
     circulations: int = 1000,
-    entries_per_bin: int = 64,
+    entries_per_shard: int = 64,
     num_nodes: int = 256,
     batch_size: int = 8,
 ) -> Dict[str, float]:
     """Measure bin circulation latency through backlog -> alloc -> postalloc.
 
-    Steps a ShuffleEngine ``circulations`` rounds with ``bin_capacity``
-    ``entries_per_bin``.  Each shard holds a standing backlog of
-    ``entries_per_bin`` distinct pairs, so a round carries
-    ``entries_per_bin`` entries per shard; at K sets a shard deals them
-    across its K bins, so bins are full only when K == 1.  One circulation
-    sample runs from a shard's send of its K bins to the return of its last
-    one.  Returns the latency stats of all ``circulations * num_sets``
-    samples, in microseconds.
+    Steps a ShuffleEngine ``circulations`` rounds.  Each shard holds a
+    standing backlog of ``entries_per_shard`` distinct pairs and hands all of
+    it out every round, dealt across its K bins.  One circulation sample runs
+    from a shard's send of its K bins to the return of its last one.  Returns
+    the latency stats of all ``circulations * num_sets`` samples, in
+    microseconds.
     """
-    cfg = Config(
-        num_nodes,
-        architecture=Architecture.SHUFFLE,
-        batch_size=batch_size,
-        sets=num_sets,
-        bin_capacity=entries_per_bin,
-    )
+    cfg = Config(num_nodes, Architecture.SHUFFLE, batch_size=batch_size, sets=num_sets)
     engine = ShuffleEngine(cfg)
     for shard in engine.shards:
         width = shard.src_hi - shard.src_lo
-        for i in range(entries_per_bin):
+        for i in range(entries_per_shard):
             src = shard.src_lo + i % width
             shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
     for _ in range(circulations):

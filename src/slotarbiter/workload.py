@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,13 +58,10 @@ class WorkloadSpec:
             if not (0 <= lo < hi <= self.num_nodes):
                 raise ValueError(f"bad src_range {self.src_range}")
 
-    def offered_load_bps(self, mtu_bytes: int) -> float:
-        """Mean offered load of this stream in bits/second."""
-        return self.size_mean_packets * mtu_bytes * 8 * 1e9 / self.mean_interarrival_ns
-
 
 class WorkloadStream:
-    """Reproducible arrival stream; iterate or pull blocks with ``take``."""
+    """Reproducible arrival stream; pull arrivals one at a time or in blocks
+    with ``take``."""
 
     def __init__(self, spec: WorkloadSpec) -> None:
         self.spec = spec
@@ -111,10 +108,6 @@ class WorkloadStream:
 
     def take(self, count: int) -> List[Arrival]:
         return [self.next_arrival() for _ in range(count)]
-
-    def __iter__(self) -> Iterator[Arrival]:
-        while True:
-            yield self.next_arrival()
 
 
 class ArrivalCursor:

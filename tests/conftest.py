@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from slotarbiter import Demand, VerifyingSink
+from slotarbiter.model import BatchBitmaps
 from slotarbiter.workload import Arrival
 
 
@@ -74,6 +75,22 @@ def small_trace(draw, unique_pairs: bool = False):
     trace = [Arrival(t, src, dst, size) for t, (src, dst), size in rows]
     trace.sort(key=lambda a: a.arrival_ns)
     return num_nodes, trace
+
+
+def first_free_slot(src_row: int, dst_row: int) -> Optional[int]:
+    """Lowest slot offset free in both rows, or None if none is: the
+    reference claim probe that ``kernel.allocate_slots`` is checked against."""
+    joint = src_row & dst_row
+    if joint == 0:
+        return None
+    return (joint & -joint).bit_length() - 1
+
+
+def claim(bitmaps: BatchBitmaps, src: int, dst: int, offset: int) -> None:
+    """Reference claim of one slot: clear ``offset`` in both roles' rows."""
+    bit = ~(1 << offset)
+    bitmaps.src[src] &= bit
+    bitmaps.dst[dst] &= bit
 
 
 #: A ``small_trace`` demands at most 800 slots and every architecture serves

@@ -95,11 +95,7 @@ class TestCriterion03OracleEquivalence:
                     trace,
                 ),
                 "shuffle": run_shuffle_deterministic(
-                    Config(
-                        num_nodes=256, sets=1, architecture=Architecture.SHUFFLE,
-                        bin_capacity=10**6,
-                    ),
-                    trace,
+                    Config(num_nodes=256, sets=1, architecture=Architecture.SHUFFLE), trace
                 ),
             }
             for name, res in runs.items():

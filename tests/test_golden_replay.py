@@ -91,7 +91,6 @@ CASES = [
     ("shuf-1", "dense", {"architecture": SHUFFLE, "sets": 1}, 100_000),
     ("shuf-2", "dense", {"architecture": SHUFFLE, "sets": 2}, 100_000),
     ("shuf-3", "dense", {"architecture": SHUFFLE, "sets": 3}, 100_000),
-    ("shuf-2-bin4", "dense", {"architecture": SHUFFLE, "sets": 2, "bin_capacity": 4}, 100_000),
     ("shuf-2-cut", "dense", {"architecture": SHUFFLE, "sets": 2}, 6),
     ("shuf-3-sparse", "sparse", {"architecture": SHUFFLE, "sets": 3}, 100_000),
 ]
@@ -119,10 +118,9 @@ GOLDEN = {
     "par-2-b16": ("7a526cb055164d89", 20, 4206, 0, 2154),
     "par-2-cut": ("5c3db42d4ab81496", 6, 599, 393, 272),
     "par-3-sparse": ("2f95d66f44f8bfa7", 13, 1018, 0, 448),
-    "shuf-1": ("f738f2ed6b5cd0e3", 37, 4206, 0, 0),
+    "shuf-1": ("aafbd6ec5309df09", 37, 4206, 0, 0),
     "shuf-2": ("e3f079c471d87b97", 40, 4206, 0, 0),
     "shuf-3": ("1e669c6a4197de0f", 48, 4206, 0, 0),
-    "shuf-2-bin4": ("ae877805727f79ca", 108, 4206, 0, 0),
     "shuf-2-cut": ("4533620f43bf4bb2", 12, 1276, 842, 0),
     "shuf-3-sparse": ("393b41dec06a0774", 15, 1018, 0, 0),
 }

@@ -16,12 +16,13 @@ from slotarbiter import (
     GreedyKernel,
     bin_index,
     canonical_order,
-    first_free_slot,
     lru_order,
     oracle_allocate,
 )
 from slotarbiter.kernel import allocate_slots
 from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
+
+from conftest import claim, first_free_slot
 
 
 class TestFirstFreeSlot:
@@ -292,7 +293,7 @@ class _DemandPerSlotKernel:
             offset = first_free_slot(bitmaps.src[demand.src], bitmaps.dst[demand.dst])
             if offset is None:
                 return False
-            bitmaps.claim(demand.src, demand.dst, offset)
+            claim(bitmaps, demand.src, demand.dst, offset)
             edges.append((offset, demand.src, demand.dst))
             if demand.remaining > 1:
                 extra[offset].append(

@@ -13,6 +13,8 @@ from slotarbiter import (
     timeslot_duration,
 )
 
+from conftest import claim
+
 
 class TestTimeslotDuration:
     def test_default_link(self):
@@ -96,7 +98,7 @@ class TestBatchBitmaps:
 
     def test_claim_clears_both_roles(self):
         bm = BatchBitmaps(4, 8)
-        bm.claim(0, 1, 3)
+        claim(bm, 0, 1, 3)
         assert not (bm.src[0] >> 3) & 1
         assert not (bm.dst[1] >> 3) & 1
         # other roles untouched
@@ -106,8 +108,8 @@ class TestBatchBitmaps:
     def test_roles_independent(self):
         # a node may send and receive in the same slot
         bm = BatchBitmaps(4, 8)
-        bm.claim(1, 3, 0)
-        bm.claim(3, 1, 0)
+        claim(bm, 1, 3, 0)
+        claim(bm, 3, 1, 0)
         assert not (bm.src[1] & 1) and not (bm.dst[3] & 1)
         assert not (bm.src[3] & 1) and not (bm.dst[1] & 1)
 

@@ -67,7 +67,7 @@ class TestBacklogShard:
         shard = BacklogShard(0, 0, 8)
         shard.ingest(Demand(1, 2, 50))
         shard.ingest(Demand(1, 2, 30))
-        bin_ = Bin(origin=0, capacity=4)
+        bin_ = Bin(origin=0)
         shard.fill_bin(bin_, current_base=1)
         bin_.completed = [(1, 2, 50)]
         bin_.remainders = []
@@ -81,22 +81,23 @@ class TestBacklogShard:
     def test_completion_without_accrual_clears_flag(self):
         shard = BacklogShard(0, 0, 8)
         shard.ingest(Demand(1, 2, 5))
-        bin_ = Bin(origin=0, capacity=4)
+        bin_ = Bin(origin=0)
         shard.fill_bin(bin_, 1)
         bin_.completed = [(1, 2, 5)]
         shard.absorb_return(bin_)
         assert not shard.table[(1, 2)].in_flight
         assert shard.staging == []
 
-    def test_fill_is_lru_ordered_and_capacity_bounded(self):
+    def test_fill_takes_everything_in_lru_order(self):
         shard = BacklogShard(0, 0, 8)
         shard.ingest(Demand(1, 2, 5))
         shard.staging.append(Demand(2, 3, 5, last_alloc=90))
         shard.staging.append(Demand(3, 4, 5, last_alloc=0))
-        bin_ = Bin(origin=0, capacity=2)
+        bin_ = Bin(origin=0)
         shard.fill_bin(bin_, current_base=100)
-        assert [(d.src, d.dst) for d in bin_.entries] == [(1, 2), (3, 4)]
-        assert [(d.src, d.dst) for d in shard.staging] == [(2, 3)]  # waits, not dropped
+        assert [(d.src, d.dst) for d in bin_.entries] == [(1, 2), (3, 4), (2, 3)]
+        assert bin_.capacity == 3
+        assert shard.staging == []
 
     def test_fill_keeps_starved_in_staging_order_then_sorts_recent(self):
         shard = BacklogShard(0, 0, 8)
@@ -106,11 +107,11 @@ class TestBacklogShard:
             Demand(3, 4, 5, last_alloc=0),
             Demand(4, 5, 5, last_alloc=80),
         ]
-        bin_ = Bin(origin=0, capacity=3)
+        bin_ = Bin(origin=0)
         # at slot 100 with 32 bins, last_alloc <= 69 ties in bin 0
         shard.fill_bin(bin_, current_base=100)
-        assert [d.last_alloc for d in bin_.entries] == [50, 0, 80]
-        assert [d.last_alloc for d in shard.staging] == [90]
+        assert [d.last_alloc for d in bin_.entries] == [50, 0, 80, 90]
+        assert shard.staging == []
 
     def test_out_of_range_src_rejected(self):
         shard = BacklogShard(0, 0, 8)
@@ -136,14 +137,14 @@ class TestBacklogShard:
 
 class TestAllocProcess:
     def test_non_contending_bin_fully_allocated(self):
-        bin_ = Bin(origin=0, capacity=8)
+        bin_ = Bin(origin=0)
         bin_.entries = [Demand(0, 1, 3), Demand(2, 3, 8), Demand(4, 5, 20)]
         bin_.result_bits = [0, 0, 0]
         alloc_process(bin_, BatchBitmaps(8, 8))
         assert [bits.bit_count() for bits in bin_.result_bits] == [3, 8, 8]
 
     def test_same_destination_order_decides(self):
-        bin_ = Bin(origin=0, capacity=8)
+        bin_ = Bin(origin=0)
         bin_.entries = [Demand(0, 2, 8), Demand(1, 2, 8)]
         bin_.result_bits = [0, 0]
         alloc_process(bin_, BatchBitmaps(4, 8))
@@ -185,16 +186,22 @@ class TestPostallocProcess:
         assert bin_.remainders == [entry]
 
 
-def _standing_engine(sets, per_shard, bin_capacity=4, num_nodes=64):
-    """An engine whose every shard stages ``per_shard`` one-slot demands."""
-    engine = ShuffleEngine(cfg(num_nodes=num_nodes, sets=sets, bin_capacity=bin_capacity))
+def _standing_demands(engine, per_shard):
+    """``per_shard`` one-slot demands of distinct pairs for every shard."""
+    num_nodes = engine.cfg.num_nodes
     demands = []
     for shard in engine.shards:
         width = shard.src_hi - shard.src_lo
         for i in range(per_shard):
             src = shard.src_lo + i % width
             demands.append(Demand(src, (src + 1 + i // width) % num_nodes, 1))
-    engine.admit(demands)
+    return demands
+
+
+def _standing_engine(sets, per_shard):
+    """An engine whose every shard stages ``per_shard`` one-slot demands."""
+    engine = ShuffleEngine(cfg(sets=sets))
+    engine.admit(_standing_demands(engine, per_shard))
     return engine
 
 
@@ -215,10 +222,12 @@ class MislabellingMailbox(Mailbox):
 class TestFullWidthRound:
     @pytest.mark.parametrize("sets", [2, 4])
     def test_every_set_batch_holds_every_shard(self, sets):
-        rounds = 3
-        engine = _standing_engine(sets, per_shard=rounds * sets * 4 + 3)
-        for _ in range(rounds):
-            assert all(len(shard.staging) > sets * 4 for shard in engine.shards)
+        per_shard = sets * 4 + 3
+        engine = ShuffleEngine(cfg(sets=sets))
+        demands = _standing_demands(engine, per_shard)
+        for _ in range(3):
+            engine.admit(demands)
+            assert all(len(shard.staging) >= per_shard for shard in engine.shards)
             batches = engine.emit()
             assert len(batches) == sets
             for batch in batches:
@@ -228,20 +237,26 @@ class TestFullWidthRound:
 
     @pytest.mark.parametrize("sets", [1, 2, 4])
     def test_round_deals_k_bins_per_shard(self, sets, monkeypatch):
+        per_shard = sets * 4 + 3
+        engine = _standing_engine(sets, per_shard)
         filled = []
         alloc = alloc_process
 
         def counted(bin_, bitmaps):
+            # every shard handed out its whole staging list before any set ran
+            assert all(shard.staging == [] for shard in engine.shards)
             filled.append((bin_.origin, bin_.index, len(bin_.entries)))
             alloc(bin_, bitmaps)
 
         monkeypatch.setattr(slotarbiter.shuffle, "alloc_process", counted)
-        engine = _standing_engine(sets, per_shard=sets * 4 + 3)
         engine.emit()
-        assert sorted(filled) == [(x, k, 4) for x in range(sets) for k in range(sets)]
-        counters = engine.counters()
-        assert counters["staging"] == [3] * sets
-        assert counters["circulations"] == sets
+        filled.sort()
+        assert [(x, k) for x, k, _ in filled] == [(x, k) for x in range(sets) for k in range(sets)]
+        for x in range(sets):
+            sizes = [n for origin, _, n in filled if origin == x]
+            assert sum(sizes) == per_shard
+            assert set(sizes) <= {per_shard // sets, -(-per_shard // sets)}
+        assert engine.counters()["circulations"] == sets
 
     # a wrong index is seen only by the index check, a wrong origin only by
     # the permute() check
@@ -284,7 +299,26 @@ class TestShardPartition:
 class TestDeterministic:
     def test_single_set_equals_oracle(self):
         trace = make_trace(31, 400, 64)
-        res = run_shuffle_deterministic(cfg(bin_capacity=10**6), trace)
+        res = run_shuffle_deterministic(cfg(), trace)
+        arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
+        expected, _ = oracle_replay(arrivals, 8)
+        assert edges_of(res.batches) == edges_of(expected)
+        assert res.metrics.conservation_ok()
+
+    def test_single_set_equals_oracle_past_64_staged(self, monkeypatch):
+        # a shard hands out its whole staging list, however deep, so a
+        # backlog of more than 64 staged demands still drains in oracle order
+        depths = []
+        fill = BacklogShard.fill_bin
+
+        def recorded(shard, bin_, current_base):
+            depths.append(len(shard.staging))
+            fill(shard, bin_, current_base)
+
+        monkeypatch.setattr(BacklogShard, "fill_bin", recorded)
+        trace = make_trace(37, 1000, 64, mean_interarrival_ns=50.0)
+        res = run_shuffle_deterministic(cfg(), trace)
+        assert max(depths) > 64
         arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
         expected, _ = oracle_replay(arrivals, 8)
         assert edges_of(res.batches) == edges_of(expected)
@@ -344,14 +378,6 @@ class TestDeterministic:
         assert m.conservation_ok()
         assert m.pending_slots == 0
 
-    def test_small_bins_conserve(self):
-        trace = make_trace(35, 400, 32, unique_pairs=False)
-        res = run_shuffle_deterministic(
-            cfg(num_nodes=32, sets=2, bin_capacity=4), trace, max_rounds=200_000
-        )
-        assert res.metrics.conservation_ok()
-        assert res.metrics.pending_slots == 0
-
     def test_shard_set_visits_balanced(self):
         """Each shard's bins reach each set within 1 of evenly over any window."""
         trace = make_trace(36, 200, 64, unique_pairs=False)
@@ -374,12 +400,11 @@ class TestGeneratedTraces:
     """Properties over generated traces, at 1-4 sets."""
 
     @settings(max_examples=150, deadline=None)
-    @given(small_trace(), _batch_sizes, st.integers(1, 4), st.sampled_from([1, 4, 64]))
-    def test_invariants(self, drawn, batch_size, sets, bin_capacity):
+    @given(small_trace(), _batch_sizes, st.integers(1, 4))
+    def test_invariants(self, drawn, batch_size, sets):
         num_nodes, trace = drawn
         res = run_shuffle_deterministic(
-            cfg(num_nodes=num_nodes, batch_size=batch_size, sets=sets,
-                bin_capacity=bin_capacity), trace, MAX_REPLAY_STEPS)
+            cfg(num_nodes=num_nodes, batch_size=batch_size, sets=sets), trace, MAX_REPLAY_STEPS)
         assert_replay_invariants(res, trace, batch_size)
         assert res.metrics.pending_slots == 0
 
@@ -390,8 +415,7 @@ class TestGeneratedTraces:
     def test_single_set_equals_oracle(self, drawn, batch_size):
         num_nodes, trace = drawn
         res = run_shuffle_deterministic(
-            cfg(num_nodes=num_nodes, batch_size=batch_size, bin_capacity=10**6), trace,
-            MAX_REPLAY_STEPS)
+            cfg(num_nodes=num_nodes, batch_size=batch_size), trace, MAX_REPLAY_STEPS)
         arrivals = [(a.arrival_ns, Demand(a.src, a.dst, a.size)) for a in trace]
         expected, pending = oracle_replay(arrivals, batch_size)
         assert edges_of(res.batches) == edges_of(expected)
