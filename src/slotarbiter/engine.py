@@ -14,7 +14,7 @@ import time
 from typing import Callable, Dict, List, Optional, Protocol, Sequence
 
 from .conduits import SpscQueue
-from .model import AdmittedBatch, Config, Demand, Metrics, RunResult
+from .model import AdmittedBatch, Config, Demand, DemandRow, Metrics, RunResult
 from .workload import Arrival, ArrivalCursor
 
 BatchSink = Callable[[AdmittedBatch], None]
@@ -35,8 +35,8 @@ class Engine(Protocol):
     allocated_slots: int
     cancelled_slots: int  # revoked by reconciliation, then handed out again
 
-    def admit(self, demands: Sequence[Demand]) -> bool:
-        """Take new demands, do the work that needs no new batch, and say
+    def admit(self, demands: Sequence[DemandRow]) -> bool:
+        """Take new demand rows, do the work that needs no new batch, and say
         whether the engine holds work."""
 
     def emit(self) -> List[AdmittedBatch]:
@@ -71,7 +71,7 @@ def replay(
     demanded = 0
     for _ in range(max_steps):
         fresh = cursor.release((engine.next_base - 1) * slot_ns)
-        demanded += sum(d.remaining for d in fresh)
+        demanded += sum(d[2] for d in fresh)
         # nothing is ever dropped, so live work is exactly the running gap
         if demanded == engine.allocated_slots and cursor.exhausted:
             break

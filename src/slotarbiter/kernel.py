@@ -9,28 +9,28 @@ exist:
   extra list of the slot it received as a plain ``(src, dst, left)`` entry
   whose ``last_alloc`` is ``base_slot`` plus the list's offset.  The extra
   lists drain after the pending demands, and their entries stay inside the
-  kernel until ``finish`` turns them back into demands.  This deliberately
+  kernel until ``finish`` turns them back into demand rows.  This deliberately
   keeps the known head-of-pipeline accumulation behaviour so the batch-mode
   improvement is measurable against it.
 * BATCH: a drained demand greedily claims consecutive free slots up to the
   batch width, and any survivor flows out immediately; it never re-enters
   this kernel.
 
-``lru_order`` is the one LRU rule in the package: the pipeline contexts, the
-parallel lanes and the shuffle shards all drain in its order.
-``allocate_slots`` is the one greedy pass, and all three call it once per
-sweep, lane batch or bin: it claims slots for a whole ordered demand list and
-returns one mask of claimed offsets per demand, and the caller builds the
-survivors from the masks.
+Demands go in and out as plain ``model.DemandRow`` tuples.  ``lru_order`` is
+the one LRU rule in the package: the pipeline contexts, the parallel lanes
+and the shuffle shards all drain in its order.  ``allocate_slots`` is the one
+greedy pass, and all three call it once per sweep, lane batch or bin: it
+claims slots for a whole ordered demand list and returns one mask of claimed
+offsets per demand, and the caller builds the survivors from the masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
+from operator import itemgetter
 from typing import Iterable, List, Sequence, Tuple
 
-from .model import AdmittedBatch, AllocationMode, BatchBitmaps, Demand
+from .model import AdmittedBatch, AllocationMode, BatchBitmaps, DemandRow
 
 #: Coarse LRU priority levels: a demand starved for this many slots less one
 #: ranks with every demand starved longer.
@@ -38,8 +38,8 @@ NUM_PRIORITY_BINS = 32
 
 
 def lru_order(
-    demands: Sequence[Demand], current: int, num_bins: int = NUM_PRIORITY_BINS
-) -> List[Demand]:
+    demands: Sequence[DemandRow], current: int, num_bins: int = NUM_PRIORITY_BINS
+) -> List[DemandRow]:
     """The demands in coarse LRU order, without a Python sort key.
 
     A demand's priority is its allocation gap ``current - last_alloc``,
@@ -50,27 +50,27 @@ def lru_order(
     objects.  Raises ValueError when a ``last_alloc`` is ahead of ``current``.
     """
     floor = current - (num_bins - 1)
-    old = [d for d in demands if d.last_alloc <= floor]
+    old = [d for d in demands if d[3] <= floor]
     if len(old) == len(demands):
         return old
-    recent = sorted((d for d in demands if d.last_alloc > floor), key=attrgetter("last_alloc"))
-    if recent[-1].last_alloc > current:
-        raise ValueError(f"last_alloc {recent[-1].last_alloc} is ahead of current {current}")
+    recent = sorted((d for d in demands if d[3] > floor), key=itemgetter(3))
+    if recent[-1][3] > current:
+        raise ValueError(f"last_alloc {recent[-1][3]} is ahead of current {current}")
     old.extend(recent)
     return old
 
 
 @dataclass
 class SweepResult:
-    """What one drain sweep produced."""
+    """What one drain sweep produced; ``outflow`` holds the rows that left."""
 
     edges: List[Tuple[int, int, int]] = field(default_factory=list)
-    outflow: List[Demand] = field(default_factory=list)
+    outflow: List[DemandRow] = field(default_factory=list)
     drained: int = 0
 
 
 def allocate_slots(
-    bitmaps: BatchBitmaps, demands: Sequence[Demand], edges: List[Tuple[int, int, int]]
+    bitmaps: BatchBitmaps, demands: Sequence[DemandRow], edges: List[Tuple[int, int, int]]
 ) -> List[int]:
     """One greedy pass: each demand, in the given order, claims its lowest
     offsets free in both its source's and its destination's row, up to its
@@ -85,12 +85,9 @@ def allocate_slots(
     masks: List[int] = []
     add_mask = masks.append
     add_edge = edges.append
-    for demand in demands:
-        src = demand.src
-        dst = demand.dst
+    for src, dst, need, _ in demands:
         mask = src_rows[src] & dst_rows[dst]
         if mask:
-            need = demand.remaining
             if need < mask.bit_count():
                 above = mask
                 for _ in range(need):
@@ -128,7 +125,7 @@ class GreedyKernel:
         self.batch_size = batch_size
         self.mode = mode
         self.base_slot = 0
-        self.pending: List[Demand] = []
+        self.pending: List[DemandRow] = []
         self.extra: List[List[Tuple[int, int, int]]] = [[] for _ in range(batch_size)]
         self.bitmaps = BatchBitmaps(num_nodes, batch_size)
         self.edges: List[Tuple[int, int, int]] = []
@@ -145,7 +142,7 @@ class GreedyKernel:
         self.bitmaps = BatchBitmaps(self.num_nodes, self.batch_size)
         self.edges = []
 
-    def ingest(self, demands: Iterable[Demand]) -> None:
+    def ingest(self, demands: Iterable[DemandRow]) -> None:
         """Queue demands behind the ones already pending."""
         self.pending.extend(demands)
 
@@ -175,19 +172,16 @@ class GreedyKernel:
                 if not mask:
                     outflow.append(demand)
                     continue
-                left = demand.remaining - mask.bit_count()
+                left = demand[2] - mask.bit_count()
                 if left:
-                    outflow.append(
-                        Demand(demand.src, demand.dst, left, base_slot + mask.bit_length() - 1)
-                    )
+                    outflow.append((demand[0], demand[1], left, base_slot + mask.bit_length() - 1))
         else:
             src_rows = bitmaps.src
             dst_rows = bitmaps.dst
             extra = self.extra
             add_edge = edges.append
             for demand in ordered:
-                src = demand.src
-                dst = demand.dst
+                src, dst, remaining, _ = demand
                 joint = src_rows[src] & dst_rows[dst]
                 if not joint:
                     outflow.append(demand)
@@ -197,8 +191,8 @@ class GreedyKernel:
                 dst_rows[dst] ^= low
                 offset = low.bit_length() - 1
                 add_edge((offset, src, dst))
-                if demand.remaining > 1:
-                    extra[offset].append((src, dst, demand.remaining - 1))
+                if remaining > 1:
+                    extra[offset].append((src, dst, remaining - 1))
             # A re-allocated entry always lands at a strictly higher offset
             # than the extra list it came from, so one ascending pass visits
             # every hop, and no list grows while it is being drained.
@@ -223,14 +217,14 @@ class GreedyKernel:
         self.edges.extend(edges)
         return result
 
-    def finish(self) -> Tuple[AdmittedBatch, List[Demand]]:
+    def finish(self) -> Tuple[AdmittedBatch, List[DemandRow]]:
         """Close the batch: emit admissions and flush retained survivors, each
-        parked entry as ``Demand(src, dst, left, base_slot + offset)``."""
-        leftovers: List[Demand] = []
+        parked entry as the row ``(src, dst, left, base_slot + offset)``."""
+        leftovers: List[DemandRow] = []
         for offset, parked in enumerate(self.extra):
             if parked:
                 last_alloc = self.base_slot + offset
-                leftovers.extend(Demand(src, dst, left, last_alloc) for src, dst, left in parked)
+                leftovers.extend([(src, dst, left, last_alloc) for src, dst, left in parked])
                 parked.clear()
         if self.pending:  # only possible if finish is called without a sweep
             leftovers.extend(lru_order(self.pending, self.base_slot))
@@ -241,4 +235,4 @@ class GreedyKernel:
     def pending_slots(self) -> int:
         """Remaining slot count of every demand still inside the kernel."""
         parked = sum(left for queue in self.extra for _, _, left in queue)
-        return parked + sum(d.remaining for d in self.pending)
+        return parked + sum(d[2] for d in self.pending)

@@ -3,7 +3,8 @@
 Everything here is plain data: node ids, demands, per-batch availability
 bitmaps, admitted batches, run configuration and run metrics.  The types are
 immutable (or single-owner, in the case of bitmaps) so they can be copied or
-handed between execution lanes without locks.
+handed between execution lanes without locks; the engines carry demands as
+plain ``DemandRow`` tuples, of which a validated ``Demand`` is one.
 
 Slot numbering convention: logical timeslots are counted from 1.  A
 ``last_alloc`` of 0 means "never allocated" and sorts as maximally starved
@@ -12,9 +13,9 @@ under the LRU priority policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Tuple
 
 NEVER_ALLOCATED = 0
 
@@ -62,18 +63,29 @@ def throughput_bps(allocated_slots: int, mtu_bytes: int, wall_elapsed_ns: int) -
     return allocated_slots * mtu_bytes * 8 * 1_000_000_000 / wall_elapsed_ns
 
 
-@dataclass(frozen=True, slots=True)
-class Demand:
-    """An outstanding (src, dst) request for ``remaining`` timeslots.
-
-    ``last_alloc`` is the absolute index of the last timeslot granted to this
-    pair and doubles as the LRU priority key (0 = never allocated).
-    """
+class DemandRow(NamedTuple):
+    """The fields of a demand; the engines carry them as plain tuples."""
 
     src: int
     dst: int
     remaining: int
     last_alloc: int = NEVER_ALLOCATED
+
+
+class Demand(DemandRow):
+    """An outstanding (src, dst) request for ``remaining`` timeslots: a
+    validated row, equal to the plain tuple of its four fields.
+
+    ``last_alloc`` is the absolute index of the last timeslot granted to this
+    pair and doubles as the LRU priority key (0 = never allocated).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, src: int, dst: int, remaining: int, last_alloc: int = NEVER_ALLOCATED):
+        self = tuple.__new__(cls, (src, dst, remaining, last_alloc))
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
         if self.src == self.dst:
@@ -137,16 +149,7 @@ class Metrics:
         return self.demanded_slots == self.allocated_slots + self.pending_slots
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "demanded_slots": self.demanded_slots,
-            "allocated_slots": self.allocated_slots,
-            "pending_slots": self.pending_slots,
-            "cancelled_then_reissued": self.cancelled_then_reissued,
-            "wall_elapsed_ns": self.wall_elapsed_ns,
-            "throughput_bps": self.throughput_bps,
-            "overloaded": self.overloaded,
-            "lane_counters": self.lane_counters,
-        }
+        return asdict(self)
 
 
 @dataclass

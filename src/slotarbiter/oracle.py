@@ -81,9 +81,7 @@ def oracle_allocate(
                 edges.append((offset, demand.src, demand.dst))
             left = demand.remaining - len(free)
             if left > 0:
-                remainders.append(
-                    Demand(demand.src, demand.dst, left, base_slot + free[-1])
-                )
+                remainders.append(Demand(demand.src, demand.dst, left, base_slot + free[-1]))
         return AdmittedBatch(base_slot, batch_size, tuple(edges)), remainders
 
     extra: List[List[Demand]] = [[] for _ in range(batch_size)]

@@ -1,6 +1,6 @@
 """Parallel allocation: every lane works the same batch, then reconcile.
 
-Lanes hold private bitmaps and their own pending demands; incoming demands
+Lanes hold private bitmaps and their own pending demand rows; incoming rows
 are dealt round-robin to the lanes and stay in their lane for life.  Each
 batch a lane puts its pending set in the system-wide LRU order
 (``kernel.lru_order``, the order the oracle's ``canonical_order`` sorts
@@ -10,9 +10,9 @@ Because the bitmaps are private, two lanes can admit edges that contend on a
 source or destination; the reconciliation stage works on the claim masks:
 the lowest lane that claimed a (slot, role, node) wins it, and a record
 keeps only the offsets no lower lane claimed for its source or destination.
-Cancelled slots are restored to their demands, which re-enter the lane's
-pending set with the last-allocation key rolled back, so nothing is ever
-lost.
+Cancelled slots are restored to their demands, whose rows re-enter the
+lane's pending set with the last-allocation key rolled back, so nothing is
+ever lost.
 
 All lanes advance to the next batch together.  ``ParallelRound`` is the
 engine (``engine.py``) over them: ``admit`` deals demands round-robin to the
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order
-from .model import AdmittedBatch, BatchBitmaps, Config, Demand, RunResult
+from .model import AdmittedBatch, BatchBitmaps, Config, DemandRow, RunResult
 from .workload import Arrival
 
 Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
@@ -123,15 +123,15 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
 
 def apply_cancellations(
     base_slot: int, records: Sequence[AllocationRecord]
-) -> Tuple[List[Demand], int, int]:
-    """Rebuild a lane's surviving demands from its reconciled records.
+) -> Tuple[List[DemandRow], int, int]:
+    """Rebuild a lane's surviving demand rows from its reconciled records.
 
     The revoked offsets are those of ``mask`` outside ``kept``: remaining
     grows by their count, and last_alloc points to the last kept slot (or
     rolls back to its pre-batch value when everything was revoked).
     Returns (requeue, revoked_slots, kept_slots).
     """
-    requeue: List[Demand] = []
+    requeue: List[DemandRow] = []
     revoked_total = 0
     kept_total = 0
     for rec in records:
@@ -144,22 +144,22 @@ def apply_cancellations(
         if remaining == 0:
             continue
         last_alloc = base_slot + kept.bit_length() - 1 if kept else rec.prev_last_alloc
-        requeue.append(Demand(rec.src, rec.dst, remaining, last_alloc))
+        requeue.append((rec.src, rec.dst, remaining, last_alloc))
     return requeue, revoked_total, kept_total
 
 
 class Lane:
     """One allocation lane: private bitmaps, private pending set.
 
-    The lane defers its survivors to ``absorb``: they are rebuilt from the
-    allocation records once reconciliation has decided which slots actually
-    stood, so a demand is never live twice.
+    The lane defers its survivors to ``absorb``: their rows are rebuilt from
+    the allocation records once reconciliation has decided which slots
+    actually stood, so a demand is never live twice.
     """
 
     def __init__(self, lane_id: int, cfg: Config) -> None:
         self.lane_id = lane_id
         self.cfg = cfg
-        self.pending: List[Demand] = []
+        self.pending: List[DemandRow] = []
         self.last_records: List[AllocationRecord] = []
         self.allocated_slots = 0
         self.drained = 0
@@ -172,12 +172,12 @@ class Lane:
         edges: List[Edge] = []
         masks = allocate_slots(bitmaps, ordered, edges)
         records: List[AllocationRecord] = []
-        unserved: List[Demand] = []
+        unserved: List[DemandRow] = []
         for demand, mask in zip(ordered, masks):
             if mask:
-                left = demand.remaining - mask.bit_count()
+                src, dst, remaining, last_alloc = demand
                 records.append(
-                    AllocationRecord(demand.src, demand.dst, mask, demand.last_alloc, left, mask)
+                    AllocationRecord(src, dst, mask, last_alloc, remaining - mask.bit_count(), mask)
                 )
             else:
                 unserved.append(demand)
@@ -194,7 +194,7 @@ class Lane:
         self.last_records = []
 
     def pending_slots(self) -> int:
-        return sum(d.remaining for d in self.pending)
+        return sum(d[2] for d in self.pending)
 
 
 class ParallelRound:
@@ -207,7 +207,7 @@ class ParallelRound:
         self.allocated_slots = 0
         self._rr = 0
 
-    def admit(self, demands: Sequence[Demand]) -> bool:
+    def admit(self, demands: Sequence[DemandRow]) -> bool:
         """Deal ``demands`` round-robin to the lanes' pending sets."""
         lanes = self.lanes
         for demand in demands:

@@ -3,11 +3,11 @@
 The context at the head of the ring holds the oldest batch.  Fresh demands
 enter at the ingest position (the head, or mid-ring).  Every context feeds
 its inbound queue to its kernel, sweeps it and forwards its survivors, as one
-list, to the neighbour handling the next batch.  When the head completes its
-tenure it emits its admitted batch, re-seeds at the tail with fresh bitmaps,
-and the next context becomes head.  Each forwarded list is tagged with the first
-batch allowed to consider it, so a survivor forwarded at batch b is never
-drained before b + 1.
+list of ``(src, dst, remaining, last_alloc)`` rows, to the neighbour handling
+the next batch.  When the head completes its tenure it emits its admitted
+batch, re-seeds at the tail with fresh bitmaps, and the next context becomes
+head.  Each forwarded list is tagged with the first batch allowed to consider
+it, so a survivor forwarded at batch b is never drained before b + 1.
 
 ``PipelineRing`` holds that state behind the engine contract of
 ``engine.py``: ``admit`` sweeps the ring, ``emit`` rotates it and ``close``
@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 from .engine import BatchSink, replay
 from .kernel import GreedyKernel
-from .model import AdmittedBatch, Config, Demand, RunResult
+from .model import AdmittedBatch, Config, DemandRow, RunResult
 from .workload import Arrival
 
 
@@ -33,7 +33,7 @@ from .workload import Arrival
 class _Context:
     kernel: GreedyKernel
     base_slot: int
-    in_q: Deque[Tuple[int, List[Demand]]] = field(default_factory=deque)
+    in_q: Deque[Tuple[int, List[DemandRow]]] = field(default_factory=deque)
 
 
 class PipelineRing:
@@ -62,13 +62,13 @@ class PipelineRing:
     def next_base(self) -> int:
         return self.contexts[self.head].base_slot
 
-    def _forward(self, idx: int, demands: List[Demand]) -> None:
+    def _forward(self, idx: int, demands: List[DemandRow]) -> None:
         """Hand survivors of context ``idx`` to its successor, for the next batch."""
         if demands:
             tag = self.contexts[idx].base_slot + self.batch
             self.contexts[(idx + 1) % len(self.contexts)].in_q.append((tag, demands))
 
-    def admit(self, fresh: Sequence[Demand]) -> bool:
+    def admit(self, fresh: Sequence[DemandRow]) -> bool:
         """One pass over the ring, head first; ``fresh`` enters at the ingest position.
 
         Returns whether any context had work.
@@ -78,7 +78,7 @@ class PipelineRing:
         for pos in range(num_ctx):
             idx = (self.head + pos) % num_ctx
             ctx = self.contexts[idx]
-            feed: List[Demand] = []
+            feed: List[DemandRow] = []
             while ctx.in_q and ctx.in_q[0][0] <= ctx.base_slot:
                 feed.extend(ctx.in_q.popleft()[1])
             if pos == self.ingest_pos:
@@ -122,7 +122,7 @@ class PipelineRing:
     def pending_slots(self) -> int:
         return sum(
             ctx.kernel.pending_slots()
-            + sum(d.remaining for _, demands in ctx.in_q for d in demands)
+            + sum(d[2] for _, demands in ctx.in_q for d in demands)
             for ctx in self.contexts
         )
 

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .conduits import Mailbox
 from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order
-from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, RunResult
+from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, DemandRow, RunResult
 from .permutation import PermutationSpec
 from .workload import Arrival, shard_range
 
@@ -37,18 +37,18 @@ Edge = Tuple[int, int, int]
 
 @dataclass
 class Bin:
-    """Demand container circulated from a shard to a set and back."""
+    """Demand-row container circulated from a shard to a set and back."""
 
     origin: int
     round_index: int = 0
     index: int = 0  # k among the origin shard's K bins of the round
     capacity: int = 0  # the count ``fill_bin`` took, so a filled bin is full
     sent_ns: int = 0  # monotonic stamp of the origin shard's send of the round's bins
-    entries: List[Demand] = field(default_factory=list)
+    entries: List[DemandRow] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
     edges: List[Edge] = field(default_factory=list)  # the pass's claims, in entry order
     completed: List[Tuple[int, int, int]] = field(default_factory=list)  # (src, dst, last_alloc)
-    remainders: List[Demand] = field(default_factory=list)
+    remainders: List[DemandRow] = field(default_factory=list)
 
     def clear(self) -> None:
         self.entries = []
@@ -79,28 +79,28 @@ class BacklogShard:
         self.src_lo = src_lo
         self.src_hi = src_hi
         self.table: Dict[Tuple[int, int], PairState] = {}
-        self.staging: List[Demand] = []
+        self.staging: List[DemandRow] = []
         self.ingested_slots = 0
 
-    def ingest(self, demand: Demand) -> None:
-        src = demand.src
+    def ingest(self, demand: DemandRow) -> None:
+        src, dst, remaining, last_alloc = demand
         if not self.src_lo <= src < self.src_hi:
             raise ValueError(
                 f"src {src} outside shard {self.shard_id} range "
                 f"[{self.src_lo}, {self.src_hi})"
             )
-        self.ingested_slots += demand.remaining
-        pair = (src, demand.dst)
+        self.ingested_slots += remaining
+        pair = (src, dst)
         state = self.table.get(pair)
         if state is None:
             state = self.table[pair] = PairState()
         if state.in_flight:
-            state.accrued += demand.remaining
+            state.accrued += remaining
             return
         state.in_flight = True
         # staged demands carry the pair's LRU key; a fresh pair's is 0 already
-        if demand.last_alloc != state.last_alloc:
-            demand = Demand(src, demand.dst, demand.remaining, state.last_alloc)
+        if last_alloc != state.last_alloc:
+            demand = (src, dst, remaining, state.last_alloc)
         self.staging.append(demand)
 
     def fill_bin(self, bin_: Bin, current_base: int) -> None:
@@ -120,7 +120,7 @@ class BacklogShard:
             state = self.table[(src, dst)]
             state.last_alloc = last_alloc
             if state.accrued > 0:
-                self.staging.append(Demand(src, dst, state.accrued, last_alloc))
+                self.staging.append((src, dst, state.accrued, last_alloc))
                 state.accrued = 0
             else:
                 state.in_flight = False
@@ -129,7 +129,7 @@ class BacklogShard:
         bin_.clear()
 
     def pending_slots(self) -> int:
-        pending = sum(d.remaining for d in self.staging)
+        pending = sum(d[2] for d in self.staging)
         pending += sum(s.accrued for s in self.table.values())
         return pending
 
@@ -148,21 +148,22 @@ def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
     """Split the bin by outcome and return the edges ``alloc_process`` claimed.
 
     Spent entries become completions, partially served entries become
-    remainder demands with their LRU key advanced, untouched entries ride
+    remainder rows with their LRU key advanced, untouched entries ride
     back unchanged.  The splits are stored on the bin for the trip home.
     """
     completed: List[Tuple[int, int, int]] = []
-    remainders: List[Demand] = []
+    remainders: List[DemandRow] = []
     for entry, bits in zip(bin_.entries, bin_.result_bits):
         if not bits:
             remainders.append(entry)
             continue
-        left = entry.remaining - bits.bit_count()
+        src, dst, remaining, _ = entry
+        left = remaining - bits.bit_count()
         last_alloc = base_slot + bits.bit_length() - 1
         if left:
-            remainders.append(Demand(entry.src, entry.dst, left, last_alloc))
+            remainders.append((src, dst, left, last_alloc))
         else:
-            completed.append((entry.src, entry.dst, last_alloc))
+            completed.append((src, dst, last_alloc))
     edges = bin_.edges
     bin_.clear()
     bin_.completed = completed
@@ -210,7 +211,7 @@ class ShuffleEngine:
     def next_base(self) -> int:
         return self.base_for(0, self.round_index)
 
-    def admit(self, demands: Sequence[Demand]) -> bool:
+    def admit(self, demands: Sequence[DemandRow]) -> bool:
         """Route each demand to the shard that owns its source."""
         shards = self.shards
         num_sets = len(shards)
@@ -218,7 +219,7 @@ class ShuffleEngine:
         for demand in demands:
             # ``shard_of`` inlined; an out-of-range source still lands in a
             # shard, and that shard's range check rejects it
-            shards[demand.src * num_sets // num_nodes % num_sets].ingest(demand)
+            shards[demand[0] * num_sets // num_nodes % num_sets].ingest(demand)
         return any(shard.staging for shard in shards)
 
     def emit(self) -> List[AdmittedBatch]:

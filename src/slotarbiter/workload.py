@@ -10,12 +10,14 @@ with the header ``arrival_ns,src,dst,size_packets``.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import Demand
+from .model import NEVER_ALLOCATED, Demand, DemandRow
 
 TRACE_HEADER = ["arrival_ns", "src", "dst", "size_packets"]
 
@@ -111,29 +113,31 @@ class WorkloadStream:
 
 
 class ArrivalCursor:
-    """Releases a trace's arrivals as demands, in arrival-time order.
+    """Releases a trace's arrivals as ``(src, dst, size, 0)`` rows, by arrival time.
 
     The sort is stable, so arrivals stamped with the same time keep their
-    trace order.
+    trace order.  Building the cursor checks every arrival once, raising the
+    ValueError its ``Demand`` would raise.
     """
 
     def __init__(self, arrivals: Sequence[Arrival]) -> None:
-        self._ordered = sorted(arrivals, key=lambda a: a.arrival_ns)
+        ordered = sorted(arrivals, key=attrgetter("arrival_ns"))
+        self._rows: List[DemandRow] = [(a.src, a.dst, a.size, NEVER_ALLOCATED) for a in ordered]
+        bad = next((row for row in self._rows if row[0] == row[1] or row[2] < 1), None)
+        if bad is not None:
+            Demand(*bad)  # raises
+        self._times = [a.arrival_ns for a in ordered]
         self._pos = 0
 
-    def release(self, until_ns: int) -> List[Demand]:
+    def release(self, until_ns: int) -> List[DemandRow]:
         """Every not yet released arrival due at or before ``until_ns``."""
-        released: List[Demand] = []
-        ordered = self._ordered
-        while self._pos < len(ordered) and ordered[self._pos].arrival_ns <= until_ns:
-            a = ordered[self._pos]
-            released.append(Demand(a.src, a.dst, a.size))
-            self._pos += 1
-        return released
+        start = self._pos
+        self._pos = bisect_right(self._times, until_ns, start)
+        return self._rows[start : self._pos]
 
     @property
     def exhausted(self) -> bool:
-        return self._pos >= len(self._ordered)
+        return self._pos >= len(self._rows)
 
 
 def shard_range(num_nodes: int, shard: int, num_shards: int) -> Tuple[int, int]:

@@ -411,10 +411,10 @@ class TestMaximality:
             for o, s, d in result.edges:
                 used_src.setdefault(o, set()).add(s)
                 used_dst.setdefault(o, set()).add(d)
-            for rem in result.outflow:
+            for src, dst, _, _ in result.outflow:
                 for offset in range(8):
-                    both_free = rem.src not in used_src.get(offset, set()) and (
-                        rem.dst not in used_dst.get(offset, set())
+                    both_free = src not in used_src.get(offset, set()) and (
+                        dst not in used_dst.get(offset, set())
                     )
                     assert not both_free, "remainder had a jointly free slot"
 
@@ -428,13 +428,13 @@ class TestKernelFairness:
         base = 1
         for _ in range(128):
             kernel.reset(base)
-            ordered = sorted(pending, key=lambda d: bin_index(d.last_alloc, base))
+            ordered = sorted(pending, key=lambda row: bin_index(row[3], base))
             kernel.ingest(ordered)
             result = kernel.sweep()
             kernel.finish()
             for o, s, _ in result.edges:
                 got[s].append(base + o)
-            survivors = {d.src: d for d in result.outflow}
+            survivors = {src: (src, dst, left, last) for src, dst, left, last in result.outflow}
             pending = [survivors[1], survivors[2]]
             base += 8
 

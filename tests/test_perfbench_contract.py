@@ -8,9 +8,13 @@ shuffle metrics by the lane, reconcile, shard and permutation calls and the
 edge, record, capacity and entry sums of their replays; and
 ``conduits.mailbox_ns_per_handoff.*`` by the Mailbox handoffs of paced runs.
 A patched name that is gone, or a count that stays 0, makes
-``perfbench/run.py --trace 1`` exit 1; these tests fail first.
+``perfbench/run.py --trace 1`` exit 1; these tests fail first.  The last
+test runs ``perfbench/selftest.py``, the benchmark's check of its own gate
+and seeds, so a change to how demands are represented runs it too.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -108,3 +112,14 @@ def test_paced_shuffle_hands_bins_through_mailboxes(monkeypatch):
     result, _ = run_paced(cfg, spec, 0.5)
     assert result.metrics.conservation_ok()
     assert handoffs >= 1
+
+
+def test_perfbench_selftest_passes():
+    """The benchmark's own self-check (gate firing, seed determinism) passes
+    against the package as it stands."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "[FAIL]" not in proc.stdout, proc.stdout

@@ -7,12 +7,14 @@ import pytest
 
 from slotarbiter import (
     AdmittedBatch,
+    AllocationMode,
     Architecture,
     Config,
     Demand,
     SearchError,
     VerifyingSink,
     auto_search,
+    run_deterministic,
     run_paced,
     sustain_check,
 )
@@ -21,6 +23,8 @@ from slotarbiter.conduits import SpscQueue
 from slotarbiter.engine import PacedMachine
 from slotarbiter.stress import ENGINES, GapSample
 from slotarbiter.workload import WorkloadSpec
+
+from conftest import make_trace
 
 
 def samples_from_gaps(gaps):
@@ -242,3 +246,34 @@ class TestSlotClock:
         # one pass, which the slot limit keeps to milliseconds, with room for
         # a GIL switch interval or two on a busy host
         assert abs(clock_ns - result.metrics.wall_elapsed_ns) <= 50_000_000
+
+
+class TestReplayBuildsNoDemand:
+    """Replay carries arrivals, survivors and remainders as plain rows, so it
+    builds no validated ``Demand``."""
+
+    @pytest.mark.parametrize("cfg", [
+        Config(16, mode=AllocationMode.BATCH),
+        Config(16, mode=AllocationMode.PER_SLOT),
+        Config(16, architecture=Architecture.PARALLEL, lanes=2),
+        Config(16, architecture=Architecture.SHUFFLE, sets=2),
+    ], ids=["pipelined", "pipelined-per-slot", "parallel-2", "shuffle-2"])
+    def test_no_demand_per_arrival_or_hop(self, monkeypatch, cfg):
+        built = 0
+        check = Demand.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        monkeypatch.setattr(Demand, "__post_init__", counted)
+        Demand(1, 2, 3)
+        assert built == 1  # the wrap sees every construction
+        built = 0
+        # 16 nodes, about 4 arrivals per slot: a backlog with survivors,
+        # remainders and (in parallel) cancellations
+        trace = make_trace(5, 400, 16, mean_interarrival_ns=300.0, unique_pairs=False)
+        result = run_deterministic(cfg, trace)
+        assert result.metrics.allocated_slots == sum(a.size for a in trace)
+        assert built == 0

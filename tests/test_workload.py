@@ -1,16 +1,28 @@
-"""Workload generation statistics and trace round-trips."""
+"""Workload generation statistics, the arrival cursor and trace round-trips."""
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import slotarbiter
 from slotarbiter import (
+    AllocationMode,
+    Architecture,
+    Config,
     TraceFormatError,
     WorkloadSpec,
     WorkloadStream,
     mean_t_for_load,
     record_trace,
     replay_trace,
+    run_deterministic,
 )
-from slotarbiter.workload import shard_spec
+from slotarbiter.workload import Arrival, ArrivalCursor, shard_spec
 
 
 def spec(**kw):
@@ -54,6 +66,85 @@ class TestStream:
         arrivals = WorkloadStream(spec(src_range=(16, 32))).take(5000)
         assert all(16 <= a.src < 32 for a in arrivals)
         assert all(a.src != a.dst for a in arrivals)
+
+
+_ARRIVAL = st.builds(
+    Arrival,
+    st.integers(0, 5).map(lambda k: k * 1000),  # few instants, so many ties
+    st.integers(0, 3),
+    st.integers(4, 7),
+    st.integers(1, 20),
+)
+
+#: One replay config per architecture, and the per-slot pipeline.
+_EVERY_ARCHITECTURE = {
+    "pipelined": Config(8),
+    "pipelined-per-slot": Config(8, mode=AllocationMode.PER_SLOT),
+    "parallel": Config(8, architecture=Architecture.PARALLEL, lanes=2),
+    "shuffle": Config(8, architecture=Architecture.SHUFFLE, sets=2),
+}
+
+
+class TestArrivalCursor:
+    @given(st.lists(_ARRIVAL, max_size=30), st.lists(st.integers(-1000, 7000), max_size=8))
+    def test_releases_concatenate_to_the_stably_sorted_rows(self, arrivals, cuts):
+        cursor = ArrivalCursor(arrivals)
+        released = []
+        last = -1001
+        for cut in sorted(cuts) + [7000]:
+            batch = cursor.release(cut)
+            # each release holds exactly the arrivals due in (last cut, cut]
+            assert len(batch) == sum(last < a.arrival_ns <= cut for a in arrivals)
+            released.extend(batch)
+            last = cut
+        ordered = sorted(arrivals, key=lambda a: a.arrival_ns)
+        assert released == [(a.src, a.dst, a.size, 0) for a in ordered]
+        assert all(type(row) is tuple for row in released)
+        assert cursor.exhausted
+
+    def test_release_before_the_first_arrival_is_empty(self):
+        cursor = ArrivalCursor([Arrival(500, 1, 2, 3)])
+        assert cursor.release(499) == []
+        assert not cursor.exhausted
+        assert cursor.release(500) == [(1, 2, 3, 0)]
+
+    @pytest.mark.parametrize("bad", [Arrival(2000, 3, 3, 4), Arrival(2000, 3, 4, 0)],
+                             ids=["src-equals-dst", "size-zero"])
+    @pytest.mark.parametrize("name", list(_EVERY_ARCHITECTURE))
+    def test_invalid_arrival_fails_every_architecture(self, name, bad):
+        trace = [Arrival(0, 1, 2, 3), bad, Arrival(4000, 2, 5, 1)]
+        with pytest.raises(ValueError, match="src == dst|at least 1 slot"):
+            run_deterministic(_EVERY_ARCHITECTURE[name], trace)
+
+    def test_invalid_arrival_check_survives_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            from slotarbiter import AllocationMode, Architecture, Config, run_deterministic
+            from slotarbiter.workload import Arrival
+
+            configs = [
+                Config(8),
+                Config(8, mode=AllocationMode.PER_SLOT),
+                Config(8, architecture=Architecture.PARALLEL, lanes=2),
+                Config(8, architecture=Architecture.SHUFFLE, sets=2),
+            ]
+            for bad in (Arrival(0, 3, 3, 4), Arrival(0, 3, 4, 0)):
+                for cfg in configs:
+                    try:
+                        run_deterministic(cfg, [Arrival(0, 1, 2, 3), bad])
+                    except ValueError as exc:
+                        print("ValueError:", exc)
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(slotarbiter.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 8, proc.stdout
+        assert all(line.startswith("ValueError: demand") for line in lines), proc.stdout
 
 
 class TestShardSpec:
