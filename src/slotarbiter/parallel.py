@@ -4,15 +4,15 @@ Lanes hold private bitmaps and their own pending demand rows; incoming rows
 are dealt round-robin to the lanes and stay in their lane for life.  Each
 batch a lane puts its pending set in the system-wide LRU order
 (``kernel.lru_order``, the order the oracle's ``canonical_order`` sorts
-into) and claims slots for all of it in one ``kernel.allocate_slots`` pass,
-whose per-demand claim masks become the lane's allocation records.
-Because the bitmaps are private, two lanes can admit edges that contend on a
-source or destination; the reconciliation stage works on the claim masks:
-the lowest lane that claimed a (slot, role, node) wins it, and a record
-keeps only the offsets no lower lane claimed for its source or destination.
-Cancelled slots are restored to their demands, whose rows re-enter the
-lane's pending set with the last-allocation key rolled back, so nothing is
-ever lost.
+into) and claims slots for all of it in one ``kernel.allocate_slots`` pass.
+Its fragment carries what that pass produced: the served rows in pass order,
+their claim masks and the lane's bitmaps after the pass.  Because the bitmaps
+are private, two lanes can admit edges that contend on a source or
+destination; the reconciliation stage works on the masks: the lowest lane
+that claimed a (slot, role, node) wins it, and a claim keeps only the
+offsets no lower lane claimed for its source or destination.  Cancelled
+slots are restored to their demands, whose rows re-enter the lane's pending
+set with the last-allocation key rolled back, so nothing is ever lost.
 
 All lanes advance to the next batch together.  ``ParallelRound`` is the
 engine (``engine.py``) over them: ``admit`` deals demands round-robin to the
@@ -34,36 +34,26 @@ from .workload import Arrival
 Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
 
 
-@dataclass(slots=True)
-class AllocationRecord:
-    """Per-demand outcome of one lane's batch, kept for post-hoc cancellation.
-
-    ``mask`` holds the offsets the lane claimed and ``left`` the remaining
-    count after the claim; ``kept`` is the part of ``mask`` that stood,
-    which ``reconcile`` sets.
-    """
-
-    src: int
-    dst: int
-    mask: int
-    prev_last_alloc: int
-    left: int
-    kept: int
-
-
 @dataclass
 class LaneAdmission:
     """One lane's fragment for the batch being reconciled.
 
-    ``edges`` are the lane's claims, in record order and then ascending
-    offset: the expansion of the records' masks.
+    ``rows`` are the demands the lane's pass served, in pass order, and
+    ``masks`` their claimed offsets; ``bitmaps`` are the lane's rows after
+    the pass, the full rows minus exactly those masks.  ``edges`` are the
+    claims, in row order and then ascending offset.  ``reconcile`` sets
+    ``kept``, the part of each mask that stood, only when some claim was
+    cut; ``None`` means every claim stood.
     """
 
     lane_id: int
     base_slot: int
     batch_size: int
     edges: List[Edge]
-    records: List[AllocationRecord]
+    rows: List[DemandRow]
+    masks: List[int]
+    bitmaps: BatchBitmaps
+    kept: Optional[List[int]] = None
 
 
 @dataclass
@@ -76,12 +66,13 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
     """Cancel contending claims: the lowest lane that claimed a (slot, role,
     node) wins it, even when its own edge loses the other role.
 
-    Walking the fragments in lane order, a record keeps the offsets of its
-    claim mask that no lower lane claimed for its source or its destination,
-    and sets ``kept`` to them; a consistent fragment set therefore passes
-    through unchanged.  ``final`` holds the kept edges in lane order, then
-    record order, then ascending offset.  Fragments must all target the same
-    base slot.
+    The lowest lane wins everything it claimed, so its edges pass through
+    whole and its free rows start the running "still free" rows.  Each higher
+    lane, in lane order, keeps of a claim's mask the offsets still free for
+    its source and its destination, then clears the whole mask from the
+    running rows.  ``final`` holds the kept edges in lane order, then row
+    order, then ascending offset.  Fragments must all target the same base
+    slot.
     """
     if not fragments:
         raise ValueError("reconcile needs at least one fragment")
@@ -90,77 +81,49 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
     if any(f.base_slot != base for f in fragments):
         raise ValueError("fragments target different base slots")
 
-    taken_src: Dict[int, int] = {}  # node -> OR of lower lanes' claims
-    taken_dst: Dict[int, int] = {}
-    final: List[Edge] = []
-    claimed = 0
-    for frag in sorted(fragments, key=attrgetter("lane_id")):
+    first, *rest = sorted(fragments, key=attrgetter("lane_id"))
+    final: List[Edge] = list(first.edges)
+    claimed = len(first.edges)
+    free_src = first.bitmaps.src  # offsets no lower lane claimed, per node
+    free_dst = first.bitmaps.dst
+    if len(rest) > 1:  # lanes below the top one clear their claims from copies
+        free_src = list(free_src)
+        free_dst = list(free_dst)
+    for i, frag in enumerate(rest, 1):
         claimed += len(frag.edges)
-        whole = True
-        for rec in frag.records:
-            src = rec.src
-            dst = rec.dst
-            mask = rec.mask
-            on_src = taken_src.get(src, 0)
-            on_dst = taken_dst.get(dst, 0)
-            kept = rec.kept = mask & ~(on_src | on_dst)
-            if kept != mask:
-                whole = False
-            taken_src[src] = on_src | mask
-            taken_dst[dst] = on_dst | mask
-        if whole:
+        rows = frag.rows
+        masks = frag.masks
+        # a lane's own claims on one node are disjoint, so every claim can be
+        # checked before any of the lane's masks is cleared
+        kept = [mask & free_src[src] & free_dst[dst] for (src, dst, _, _), mask in zip(rows, masks)]
+        if kept == masks:
             final.extend(frag.edges)
-            continue
-        for rec in frag.records:
-            bits = rec.kept
-            while bits:
-                low = bits & -bits
-                final.append((low.bit_length() - 1, rec.src, rec.dst))
-                bits ^= low
+        else:
+            frag.kept = kept
+            final.extend([e for e in frag.edges for o, src, dst in (e,)
+                          if (free_src[src] & free_dst[dst]) >> o & 1])
+        if i < len(rest):  # the top lane's claims bind no later lane
+            for (src, dst, _, _), mask in zip(rows, masks):
+                free_src[src] &= ~mask
+                free_dst[dst] &= ~mask
 
     return ReconcileResult(AdmittedBatch(base, width, tuple(final)), claimed - len(final))
-
-
-def apply_cancellations(
-    base_slot: int, records: Sequence[AllocationRecord]
-) -> Tuple[List[DemandRow], int, int]:
-    """Rebuild a lane's surviving demand rows from its reconciled records.
-
-    The revoked offsets are those of ``mask`` outside ``kept``: remaining
-    grows by their count, and last_alloc points to the last kept slot (or
-    rolls back to its pre-batch value when everything was revoked).
-    Returns (requeue, revoked_slots, kept_slots).
-    """
-    requeue: List[DemandRow] = []
-    revoked_total = 0
-    kept_total = 0
-    for rec in records:
-        kept = rec.kept
-        granted = kept.bit_count()
-        revoked = rec.mask.bit_count() - granted
-        revoked_total += revoked
-        kept_total += granted
-        remaining = rec.left + revoked
-        if remaining == 0:
-            continue
-        last_alloc = base_slot + kept.bit_length() - 1 if kept else rec.prev_last_alloc
-        requeue.append((rec.src, rec.dst, remaining, last_alloc))
-    return requeue, revoked_total, kept_total
 
 
 class Lane:
     """One allocation lane: private bitmaps, private pending set.
 
-    The lane defers its survivors to ``absorb``: their rows are rebuilt from
-    the allocation records once reconciliation has decided which slots
-    actually stood, so a demand is never live twice.
+    The lane defers its served rows to ``absorb``: their survivors are
+    rebuilt from the last fragment's rows, masks and ``kept`` once
+    reconciliation has decided which slots actually stood, so a demand is
+    never live twice.
     """
 
     def __init__(self, lane_id: int, cfg: Config) -> None:
         self.lane_id = lane_id
         self.cfg = cfg
         self.pending: List[DemandRow] = []
-        self.last_records: List[AllocationRecord] = []
+        self.last_admission: Optional[LaneAdmission] = None
         self.allocated_slots = 0
         self.drained = 0
         self.cancelled_slots = 0
@@ -170,28 +133,47 @@ class Lane:
         ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
-        masks = allocate_slots(bitmaps, ordered, edges)
-        records: List[AllocationRecord] = []
+        served: List[DemandRow] = []
+        claims: List[int] = []
         unserved: List[DemandRow] = []
-        for demand, mask in zip(ordered, masks):
+        for demand, mask in zip(ordered, allocate_slots(bitmaps, ordered, edges)):
             if mask:
-                src, dst, remaining, last_alloc = demand
-                records.append(
-                    AllocationRecord(src, dst, mask, last_alloc, remaining - mask.bit_count(), mask)
-                )
+                served.append(demand)
+                claims.append(mask)
             else:
                 unserved.append(demand)
         self.drained += len(ordered)
         self.pending = unserved
-        self.last_records = records
-        return LaneAdmission(self.lane_id, base_slot, self.cfg.batch_size, edges, records)
+        self.last_admission = LaneAdmission(
+            self.lane_id, base_slot, self.cfg.batch_size, edges, served, claims, bitmaps)
+        return self.last_admission
+
+    @property
+    def last_records(self) -> List[DemandRow]:
+        """The rows the last ``allocate`` served, until ``absorb`` takes them."""
+        return self.last_admission.rows if self.last_admission else []
 
     def absorb(self, base_slot: int) -> None:
-        requeue, revoked, kept = apply_cancellations(base_slot, self.last_records)
-        self.pending.extend(requeue)
-        self.allocated_slots += kept
-        self.cancelled_slots += revoked
-        self.last_records = []
+        """Requeue the survivors of the last fragment and count its slots.
+
+        A served row's remaining count drops by its kept offsets only, so
+        revoked offsets are restored; its last_alloc points to the last kept
+        slot, or stays at its pre-batch value when everything was revoked.
+        """
+        frag = self.last_admission
+        kept = frag.masks if frag.kept is None else frag.kept
+        requeue = self.pending.append
+        granted_total = 0
+        for (src, dst, remaining, last_alloc), bits in zip(frag.rows, kept):
+            granted = bits.bit_count()
+            granted_total += granted
+            if remaining > granted:
+                if bits:
+                    last_alloc = base_slot + bits.bit_length() - 1
+                requeue((src, dst, remaining - granted, last_alloc))
+        self.allocated_slots += granted_total
+        self.cancelled_slots += len(frag.edges) - granted_total
+        self.last_admission = None
 
     def pending_slots(self) -> int:
         return sum(d[2] for d in self.pending)
@@ -210,9 +192,11 @@ class ParallelRound:
     def admit(self, demands: Sequence[DemandRow]) -> bool:
         """Deal ``demands`` round-robin to the lanes' pending sets."""
         lanes = self.lanes
-        for demand in demands:
-            lanes[self._rr % len(lanes)].pending.append(demand)
-            self._rr += 1
+        count = len(lanes)
+        rr = self._rr
+        for i, lane in enumerate(lanes):
+            lane.pending.extend(demands[(i - rr) % count :: count])
+        self._rr = rr + len(demands)
         return any(lane.pending for lane in lanes)
 
     def emit(self) -> List[AdmittedBatch]:

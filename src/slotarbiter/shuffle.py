@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conduits import Mailbox
 from .engine import BatchSink, replay
@@ -58,50 +58,44 @@ class Bin:
         self.remainders = []
 
 
-@dataclass
-class PairState:
-    accrued: int = 0
-    in_flight: bool = False
-    last_alloc: int = 0
-
-
 class BacklogShard:
     """Dedup table plus staging for one slice of the source space.
 
     At most one live demand per (src, dst) exists anywhere in the system:
-    while a pair is in flight, further requests only bump its accrued count,
-    and the accrual is reissued as a fresh demand when the live copy
-    completes.
+    ``live`` maps each pair in flight to the slots requested for it since it
+    went live, which are reissued as a fresh demand when the live copy
+    completes.  ``last_alloc`` keeps every pair's LRU key across its trips.
     """
 
     def __init__(self, shard_id: int, src_lo: int, src_hi: int) -> None:
         self.shard_id = shard_id
         self.src_lo = src_lo
         self.src_hi = src_hi
-        self.table: Dict[Tuple[int, int], PairState] = {}
+        self.live: Dict[Tuple[int, int], int] = {}
+        self.last_alloc: Dict[Tuple[int, int], int] = {}
         self.staging: List[DemandRow] = []
-        self.ingested_slots = 0
 
-    def ingest(self, demand: DemandRow) -> None:
-        src, dst, remaining, last_alloc = demand
-        if not self.src_lo <= src < self.src_hi:
-            raise ValueError(
-                f"src {src} outside shard {self.shard_id} range "
-                f"[{self.src_lo}, {self.src_hi})"
-            )
-        self.ingested_slots += remaining
-        pair = (src, dst)
-        state = self.table.get(pair)
-        if state is None:
-            state = self.table[pair] = PairState()
-        if state.in_flight:
-            state.accrued += remaining
-            return
-        state.in_flight = True
-        # staged demands carry the pair's LRU key; a fresh pair's is 0 already
-        if last_alloc != state.last_alloc:
-            demand = (src, dst, remaining, state.last_alloc)
-        self.staging.append(demand)
+    def ingest(self, rows: Iterable[DemandRow]) -> None:
+        """Stage each row whose pair is not live; accrue the rest on their pair."""
+        lo = self.src_lo
+        hi = self.src_hi
+        live = self.live
+        last_of = self.last_alloc
+        stage = self.staging.append
+        for row in rows:
+            src, dst, remaining, last_alloc = row
+            if not lo <= src < hi:
+                raise ValueError(
+                    f"src {src} outside shard {self.shard_id} range [{lo}, {hi})"
+                )
+            pair = (src, dst)
+            if pair in live:
+                live[pair] += remaining
+                continue
+            live[pair] = 0
+            # staged rows carry the pair's LRU key; a fresh pair's is 0 already
+            key = last_of.get(pair, 0)
+            stage(row if last_alloc == key else (src, dst, remaining, key))
 
     def fill_bin(self, bin_: Bin, current_base: int) -> None:
         """Move every staged demand into the bin, most-starved first.
@@ -116,22 +110,22 @@ class BacklogShard:
 
     def absorb_return(self, bin_: Bin) -> None:
         """Take a returned bin apart: close spent pairs, restage remainders."""
+        live = self.live
         for src, dst, last_alloc in bin_.completed:
-            state = self.table[(src, dst)]
-            state.last_alloc = last_alloc
-            if state.accrued > 0:
-                self.staging.append((src, dst, state.accrued, last_alloc))
-                state.accrued = 0
+            pair = (src, dst)
+            self.last_alloc[pair] = last_alloc
+            accrued = live[pair]
+            if accrued:
+                self.staging.append((src, dst, accrued, last_alloc))
+                live[pair] = 0
             else:
-                state.in_flight = False
+                del live[pair]
         # a remainder's pair key is read only after a completion sets it
         self.staging.extend(bin_.remainders)
         bin_.clear()
 
     def pending_slots(self) -> int:
-        pending = sum(d[2] for d in self.staging)
-        pending += sum(s.accrued for s in self.table.values())
-        return pending
+        return sum(d[2] for d in self.staging) + sum(self.live.values())
 
 
 def alloc_process(bin_: Bin, bitmaps: BatchBitmaps) -> None:
@@ -212,14 +206,20 @@ class ShuffleEngine:
         return self.base_for(0, self.round_index)
 
     def admit(self, demands: Sequence[DemandRow]) -> bool:
-        """Route each demand to the shard that owns its source."""
+        """Split the demands by the shard that owns their source; each shard
+        ingests its part in one call."""
         shards = self.shards
         num_sets = len(shards)
         num_nodes = self.cfg.num_nodes
+        parts: List[List[DemandRow]] = [[] for _ in shards]
+        add = [part.append for part in parts]
         for demand in demands:
             # ``shard_of`` inlined; an out-of-range source still lands in a
             # shard, and that shard's range check rejects it
-            shards[demand[0] * num_sets // num_nodes % num_sets].ingest(demand)
+            add[demand[0] * num_sets // num_nodes % num_sets](demand)
+        for shard, part in zip(shards, parts):
+            if part:
+                shard.ingest(part)
         return any(shard.staging for shard in shards)
 
     def emit(self) -> List[AdmittedBatch]:
@@ -345,9 +345,11 @@ def bench_distributor(
     engine = ShuffleEngine(cfg)
     for shard in engine.shards:
         width = shard.src_hi - shard.src_lo
+        rows = []
         for i in range(entries_per_shard):
             src = shard.src_lo + i % width
-            shard.ingest(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
+            rows.append(Demand(src, (src + 1 + i // width) % num_nodes, _STANDING_DEMAND))
+        shard.ingest(rows)
     for _ in range(circulations):
         engine.emit()
     if not engine.circulation_ns:

@@ -13,7 +13,7 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +28,7 @@ class TraceFormatError(ValueError):
     """Malformed trace row; the message carries the 1-based line number."""
 
 
-@dataclass(frozen=True, slots=True)
-class Arrival:
+class Arrival(NamedTuple):
     """One demand request as it enters the system."""
 
     arrival_ns: int
@@ -90,10 +89,14 @@ class WorkloadStream:
             clash = dsts == srcs
         times = self._clock_ns + np.cumsum(deltas)
         self._clock_ns = float(times[-1])
-        self._buffer = [
-            Arrival(int(t), int(s), int(d), int(z))
-            for t, s, d, z in zip(times, srcs, dsts, sizes)
-        ]
+        # astype truncates toward zero, like int()
+        self._buffer = list(map(
+            Arrival,
+            times.astype(np.int64).tolist(),
+            srcs.tolist(),
+            dsts.tolist(),
+            sizes.astype(np.int64).tolist(),
+        ))
         self._pos = 0
 
     def next_arrival(self) -> Arrival:
@@ -109,7 +112,14 @@ class WorkloadStream:
         return self._buffer[self._pos]
 
     def take(self, count: int) -> List[Arrival]:
-        return [self.next_arrival() for _ in range(count)]
+        taken: List[Arrival] = []
+        while len(taken) < count:
+            if self._pos >= len(self._buffer):
+                self._refill()
+            end = min(len(self._buffer), self._pos + count - len(taken))
+            taken += self._buffer[self._pos : end]
+            self._pos = end
+        return taken
 
 
 class ArrivalCursor:
@@ -191,8 +201,7 @@ def record_trace(arrivals: Sequence[Arrival], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for a in arrivals:
-            writer.writerow([a.arrival_ns, a.src, a.dst, a.size])
+        writer.writerows(arrivals)
 
 
 def replay_trace(path: str) -> List[Arrival]:

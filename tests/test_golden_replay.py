@@ -88,6 +88,8 @@ CASES = [
     ("par-2-b16", "dense", {"architecture": PARALLEL, "lanes": 2, "batch_size": 16}, 100_000),
     ("par-2-cut", "dense", {"architecture": PARALLEL, "lanes": 2}, 6),
     ("par-3-sparse", "sparse", {"architecture": PARALLEL, "lanes": 3}, 100_000),
+    ("par-4", "dense", {"architecture": PARALLEL, "lanes": 4}, 100_000),
+    ("par-4-sparse", "sparse", {"architecture": PARALLEL, "lanes": 4}, 100_000),
     ("shuf-1", "dense", {"architecture": SHUFFLE, "sets": 1}, 100_000),
     ("shuf-2", "dense", {"architecture": SHUFFLE, "sets": 2}, 100_000),
     ("shuf-3", "dense", {"architecture": SHUFFLE, "sets": 3}, 100_000),
@@ -118,6 +120,8 @@ GOLDEN = {
     "par-2-b16": ("7a526cb055164d89", 20, 4206, 0, 2154),
     "par-2-cut": ("5c3db42d4ab81496", 6, 599, 393, 272),
     "par-3-sparse": ("2f95d66f44f8bfa7", 13, 1018, 0, 448),
+    "par-4": ("21e36343a5b8477b", 44, 4206, 0, 5439),
+    "par-4-sparse": ("8de82519447b6829", 14, 1018, 0, 620),
     "shuf-1": ("aafbd6ec5309df09", 37, 4206, 0, 0),
     "shuf-2": ("e3f079c471d87b97", 40, 4206, 0, 0),
     "shuf-3": ("1e669c6a4197de0f", 48, 4206, 0, 0),

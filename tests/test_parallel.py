@@ -18,7 +18,7 @@ from slotarbiter import (
 )
 from slotarbiter.kernel import allocate_slots
 from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
-from slotarbiter.parallel import AllocationRecord, LaneAdmission, apply_cancellations
+from slotarbiter.parallel import Lane, LaneAdmission
 from slotarbiter.workload import Arrival, WorkloadSpec
 
 from conftest import (
@@ -36,10 +36,16 @@ def cfg(**kw):
     return Config(**defaults)
 
 
-def fragment(lane_id, edges, base=1, batch=8):
-    """A lane's fragment with one claim record per edge, in edge order."""
-    records = [AllocationRecord(src, dst, 1 << o, 0, 0, 1 << o) for o, src, dst in edges]
-    return LaneAdmission(lane_id, base, batch, edges, records)
+def fragment(lane_id, edges, base=1, batch=8, num_nodes=16):
+    """A lane's fragment with one served row per edge, in edge order; its
+    bitmaps are the full rows minus the edges."""
+    bitmaps = BatchBitmaps(num_nodes, batch)
+    for o, src, dst in edges:
+        bitmaps.src[src] &= ~(1 << o)
+        bitmaps.dst[dst] &= ~(1 << o)
+    rows = [(src, dst, 1, 0) for _, src, dst in edges]
+    masks = [1 << o for o, _, _ in edges]
+    return LaneAdmission(lane_id, base, batch, edges, rows, masks, bitmaps)
 
 
 def offsets_of(mask):
@@ -47,7 +53,8 @@ def offsets_of(mask):
 
 
 def kept_offsets(frag):
-    return [offsets_of(rec.kept) for rec in frag.records]
+    """The offsets each served row kept; no ``kept`` list means all stood."""
+    return [offsets_of(kept) for kept in (frag.masks if frag.kept is None else frag.kept)]
 
 
 class TestReconcile:
@@ -82,7 +89,7 @@ class TestReconcile:
         result = reconcile([f0, f1])
         assert sorted(result.final.edges) == sorted(f0.edges + f1.edges)
         assert result.cancelled == 0
-        assert all(rec.kept == rec.mask for f in (f0, f1) for rec in f.records)
+        assert f0.kept is None and f1.kept is None
 
     def test_single_lane_identity(self):
         f0 = fragment(0, [(0, 1, 2), (5, 3, 4)])
@@ -175,18 +182,27 @@ def _lane_passes(draw):
     for lane_id in range(draw(st.integers(1, 4))):
         demands = draw(st.lists(demand, max_size=10))
         edges = []
-        masks = allocate_slots(BatchBitmaps(num_nodes, width), demands, edges)
-        claims, records, start = [], [], 0
+        bitmaps = BatchBitmaps(num_nodes, width)
+        masks = allocate_slots(bitmaps, demands, edges)
+        claims, rows, served, start = [], [], [], 0
         for d, mask in zip(demands, masks):
             if not mask:
                 continue
             granted = mask.bit_count()
             claims.append((d, [e[0] for e in edges[start:start + granted]]))
             start += granted
-            records.append(AllocationRecord(d.src, d.dst, mask, d.last_alloc,
-                                            d.remaining - granted, mask))
-        lanes.append((LaneAdmission(lane_id, base, width, edges, records), claims))
+            rows.append(d)
+            served.append(mask)
+        lanes.append((LaneAdmission(lane_id, base, width, edges, rows, served, bitmaps), claims))
     return base, lanes
+
+
+def absorbed(frag):
+    """A lane's pending rows and slot counts after it absorbs ``frag``."""
+    lane = Lane(frag.lane_id, cfg(num_nodes=len(frag.bitmaps.src), batch_size=frag.batch_size))
+    lane.last_admission = frag
+    lane.absorb(frag.base_slot)
+    return lane.pending, lane.cancelled_slots, lane.allocated_slots
 
 
 class TestReconcileMatchesPerEdgeRule:
@@ -204,45 +220,81 @@ class TestReconcileMatchesPerEdgeRule:
         assert result.cancelled == len(cancelled)
         for frag, claims in lanes:
             expected_requeue, revoked_total, kept_total = [], 0, 0
-            for rec, (d, offsets) in zip(frag.records, claims):
+            for got, (d, offsets) in zip(kept_offsets(frag), claims):
                 kept = [o for o in offsets if (frag.lane_id, o, d.src, d.dst) not in cancelled]
-                assert offsets_of(rec.kept) == kept
+                assert got == kept
                 revoked_total += len(offsets) - len(kept)
                 kept_total += len(kept)
                 if d.remaining > len(kept):
                     last = base + max(kept) if kept else d.last_alloc
                     expected_requeue.append(Demand(d.src, d.dst, d.remaining - len(kept), last))
-            assert apply_cancellations(base, frag.records) == (
-                expected_requeue, revoked_total, kept_total)
+            assert absorbed(frag) == (expected_requeue, revoked_total, kept_total)
 
 
-class TestApplyCancellations:
+def claim(base, row, mask, kept=None):
+    """A one-row fragment: ``row`` claimed ``mask``, of which ``kept`` stood
+    (all of it when ``kept`` is None)."""
+    src, dst, _, _ = row
+    bitmaps = BatchBitmaps(8, 8)
+    bitmaps.src[src] ^= mask
+    bitmaps.dst[dst] ^= mask
+    edges = [(o, src, dst) for o in offsets_of(mask)]
+    return LaneAdmission(1, base, 8, edges, [row], [mask], bitmaps,
+                         None if kept is None else [kept])
+
+
+class TestLaneAbsorb:
     def test_revoked_slots_restored_exactly(self):
         # lane 1 allocated offsets [2, 5] for (4, 2); offset 5 was cancelled
-        rec = AllocationRecord(4, 2, 0b100100, prev_last_alloc=0, left=0, kept=0b100)
-        requeue, revoked, kept = apply_cancellations(9, [rec])
+        requeue, revoked, kept = absorbed(claim(9, Demand(4, 2, 2, 0), 0b100100, kept=0b100))
         assert revoked == 1 and kept == 1
         assert requeue == [Demand(4, 2, 1, last_alloc=11)]  # 9 + kept offset 2
 
     def test_fully_revoked_rolls_back_priority(self):
-        rec = AllocationRecord(4, 2, 0b1, prev_last_alloc=77, left=0, kept=0)
-        requeue, revoked, kept = apply_cancellations(9, [rec])
+        requeue, revoked, kept = absorbed(claim(9, Demand(4, 2, 1, 77), 0b1, kept=0))
         assert requeue == [Demand(4, 2, 1, last_alloc=77)]
         assert revoked == 1 and kept == 0
 
     def test_residual_merges_with_revoked(self):
-        # offsets [6, 7] claimed with 10 left over; offset 7 was cancelled
-        rec = AllocationRecord(4, 2, 0b11000000, prev_last_alloc=0, left=10, kept=0b1000000)
-        requeue, revoked, kept = apply_cancellations(9, [rec])
+        # offsets [6, 7] claimed of 12 asked; offset 7 was cancelled
+        requeue, revoked, kept = absorbed(
+            claim(9, Demand(4, 2, 12, 0), 0b11000000, kept=0b1000000))
         # 10 leftover + 1 revoked, last kept offset 6 -> slot 15
         assert requeue == [Demand(4, 2, 11, last_alloc=15)]
 
     def test_untouched_record_keeps_residual_only(self):
-        # offsets [5, 6, 7] claimed with 3 left over; nothing was cancelled
-        rec = AllocationRecord(1, 2, 0b11100000, prev_last_alloc=0, left=3, kept=0b11100000)
-        requeue, revoked, kept = apply_cancellations(1, [rec])
+        # offsets [5, 6, 7] claimed of 6 asked; nothing was cancelled
+        requeue, revoked, kept = absorbed(claim(1, Demand(1, 2, 6, 0), 0b11100000))
         assert requeue == [Demand(1, 2, 3, 8)]
         assert revoked == 0 and kept == 3
+
+
+class TestLaneFragment:
+    """What ``reconcile`` relies on: a fragment's bitmaps are the full rows
+    minus exactly its claim masks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bitmaps_are_full_rows_minus_masks(self, data):
+        width = data.draw(st.sampled_from(VALID_BATCH_SIZES))
+        num_nodes = data.draw(st.integers(2, 5))
+        base = data.draw(st.integers(1, 1000))
+        pair = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1)).filter(
+            lambda p: p[0] != p[1])
+        lane = Lane(0, cfg(num_nodes=num_nodes, batch_size=width))
+        lane.pending = data.draw(st.lists(st.builds(
+            lambda p, size, last: Demand(p[0], p[1], size, last),
+            pair, st.integers(1, 2 * width), st.integers(0, base - 1)), max_size=12))
+        frag = lane.allocate(base)
+        full = BatchBitmaps(num_nodes, width)
+        for (src, dst, _, _), mask in zip(frag.rows, frag.masks):
+            assert mask and full.src[src] & mask == mask and full.dst[dst] & mask == mask
+            full.src[src] ^= mask
+            full.dst[dst] ^= mask
+        assert frag.bitmaps.src == full.src and frag.bitmaps.dst == full.dst
+        assert frag.edges == [(o, src, dst) for (src, dst, _, _), mask in zip(frag.rows, frag.masks)
+                              for o in offsets_of(mask)]
+        assert lane.last_records == frag.rows
 
 
 class TestDeterministic:

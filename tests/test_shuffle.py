@@ -52,21 +52,21 @@ def cfg(**kw):
 class TestBacklogShard:
     def test_fresh_pair_goes_live(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 50))
-        assert shard.table[(1, 2)].in_flight
+        shard.ingest([Demand(1, 2, 50)])
+        assert shard.live == {(1, 2): 0}
         assert shard.staging == [Demand(1, 2, 50, 0)]
 
     def test_second_request_accrues_no_duplicate(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 50))
-        shard.ingest(Demand(1, 2, 30))
-        assert shard.table[(1, 2)].accrued == 30
+        shard.ingest([Demand(1, 2, 50)])
+        shard.ingest([Demand(1, 2, 30)])
+        assert shard.live[(1, 2)] == 30
         assert len(shard.staging) == 1  # single live copy
 
     def test_completion_reissues_accrued(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 50))
-        shard.ingest(Demand(1, 2, 30))
+        shard.ingest([Demand(1, 2, 50)])
+        shard.ingest([Demand(1, 2, 30)])
         bin_ = Bin(origin=0)
         shard.fill_bin(bin_, current_base=1)
         bin_.completed = [(1, 2, 50)]
@@ -75,22 +75,22 @@ class TestBacklogShard:
         shard.absorb_return(bin_)
         # accrual reissued as a new live demand with the pair's LRU key
         assert shard.staging == [Demand(1, 2, 30, 50)]
-        assert shard.table[(1, 2)].accrued == 0
-        assert shard.table[(1, 2)].in_flight
+        assert shard.live == {(1, 2): 0}  # still live, nothing accrued
+        assert shard.last_alloc[(1, 2)] == 50
 
     def test_completion_without_accrual_clears_flag(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 5))
+        shard.ingest([Demand(1, 2, 5)])
         bin_ = Bin(origin=0)
         shard.fill_bin(bin_, 1)
         bin_.completed = [(1, 2, 5)]
         shard.absorb_return(bin_)
-        assert not shard.table[(1, 2)].in_flight
+        assert (1, 2) not in shard.live
         assert shard.staging == []
 
     def test_fill_takes_everything_in_lru_order(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 5))
+        shard.ingest([Demand(1, 2, 5)])
         shard.staging.append(Demand(2, 3, 5, last_alloc=90))
         shard.staging.append(Demand(3, 4, 5, last_alloc=0))
         bin_ = Bin(origin=0)
@@ -116,22 +116,22 @@ class TestBacklogShard:
     def test_out_of_range_src_rejected(self):
         shard = BacklogShard(0, 0, 8)
         with pytest.raises(ValueError):
-            shard.ingest(Demand(9, 2, 5))
+            shard.ingest([Demand(9, 2, 5)])
 
     def test_fresh_pair_stages_the_arriving_demand(self):
         shard = BacklogShard(0, 0, 8)
         demand = Demand(1, 2, 5)
-        shard.ingest(demand)
+        shard.ingest([demand])
         assert shard.staging[0] is demand
 
     def test_reissued_pair_is_staged_with_its_lru_key(self):
         shard = BacklogShard(0, 0, 8)
-        shard.ingest(Demand(1, 2, 5))
+        shard.ingest([Demand(1, 2, 5)])
         bin_ = Bin(origin=0)
         shard.fill_bin(bin_, 1)
         bin_.completed = [(1, 2, 7)]
         shard.absorb_return(bin_)
-        shard.ingest(Demand(1, 2, 3))
+        shard.ingest([Demand(1, 2, 3)])
         assert shard.staging == [Demand(1, 2, 3, last_alloc=7)]
 
 

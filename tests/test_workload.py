@@ -1,5 +1,6 @@
 """Workload generation statistics, the arrival cursor and trace round-trips."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -36,6 +37,16 @@ class TestStream:
         a = WorkloadStream(spec()).take(5000)
         b = WorkloadStream(spec()).take(5000)
         assert a == b
+
+    def test_stream_matches_recorded_digest(self):
+        # recorded when each arrival was built with int() per field; pins the
+        # truncation of times and sizes and the block boundary of ``take``
+        stream = WorkloadStream(spec(seed=7, num_nodes=64, mean_interarrival_ns=333.3,
+                                     size_mean_packets=4.0, size_stddev_packets=2.5))
+        arrivals = stream.take(3) + [stream.next_arrival(), stream.peek()] + stream.take(5000)
+        rows = [(a.arrival_ns, a.src, a.dst, a.size) for a in arrivals]
+        assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "0331b3919a940ca5"
+        assert all(type(v) is int for row in rows for v in row)
 
     def test_different_seed_differs(self):
         a = WorkloadStream(spec()).take(100)
