@@ -43,7 +43,7 @@ class Engine(Protocol):
         """Close the next batch or batches, in slot order."""
 
     def close(self) -> List[AdmittedBatch]:
-        """Finish what is still in flight when a run ends."""
+        """Finish what is still in flight when a run ends; a second call emits nothing."""
 
     def pending_slots(self) -> int: ...
 

@@ -2,8 +2,8 @@
 
 The kernel is the unit of work each pipeline context schedules: its pending
 demands are put in LRU order by ``lru_order`` and matched against per-node
-availability bitmaps with an AND + find-first-set probe.  Two drain modes
-exist:
+availability bitmaps with an AND, then a find-first-set probe (PER_SLOT) or
+byte table lookups (BATCH).  Two drain modes exist:
 
 * PER_SLOT: a drained demand gets at most one timeslot, then parks in the
   extra list of the slot it received as a plain ``(src, dst, left)`` entry
@@ -20,15 +20,17 @@ Demands go in and out as plain ``model.DemandRow`` tuples.  ``lru_order`` is
 the one LRU rule in the package: the pipeline contexts, the parallel lanes
 and the shuffle shards all drain in its order.  ``allocate_slots`` is the one
 greedy pass, and all three call it once per sweep, lane batch or bin: it
-claims slots for a whole ordered demand list and returns one mask of claimed
-offsets per demand, and the caller builds the survivors from the masks.
+claims slots for a whole ordered demand list, a byte of each joint-free mask
+at a time through two lookup tables, and returns one mask of claimed offsets
+per demand.  ``settle`` is the one survivor rule, which turns the rows and
+their masks into the rows that still want slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .model import AdmittedBatch, AllocationMode, BatchBitmaps, DemandRow
 
@@ -69,6 +71,14 @@ class SweepResult:
     drained: int = 0
 
 
+#: ``_OFFSETS[lane][byte]``: the offsets of the set bits of ``byte`` in byte
+#: lane ``lane`` of a mask (bit j of the byte is offset 8 * lane + j), ascending.
+_OFFSETS = tuple(tuple(tuple(8 * lane + j for j in range(8) if byte >> j & 1) for byte in range(256))
+                 for lane in range(8))
+#: ``_LOWEST[k][byte]``: the lowest ``k`` set bits of ``byte``, for k in 0..8.
+_LOWEST = tuple(tuple(sum(1 << j for j in bits[:k]) for bits in _OFFSETS[0]) for k in range(9))
+
+
 def allocate_slots(
     bitmaps: BatchBitmaps, demands: Sequence[DemandRow], edges: List[Tuple[int, int, int]]
 ) -> List[int]:
@@ -78,30 +88,61 @@ def allocate_slots(
 
     Clears every claim from the rows, appends ``(offset, src, dst)`` to
     ``edges`` in demand order and then ascending offset, and returns one mask
-    of claimed offsets per demand (0 for a demand that got nothing).
+    of claimed offsets per demand (0 for a demand that got nothing).  A mask
+    wider than a byte is claimed one byte lane at a time, lowest lane first.
     """
     src_rows = bitmaps.src
     dst_rows = bitmaps.dst
+    lowest = _LOWEST
+    first_lane = _OFFSETS[0]
     masks: List[int] = []
     add_mask = masks.append
     add_edge = edges.append
     for src, dst, need, _ in demands:
         mask = src_rows[src] & dst_rows[dst]
         if mask:
-            if need < mask.bit_count():
-                above = mask
-                for _ in range(need):
-                    above &= above - 1
-                mask ^= above  # the lowest ``need`` joint-free offsets
+            if mask < 256:
+                mask = lowest[need if need < 8 else 8][mask]
+                emit = first_lane[mask]
+            else:
+                free, mask, shift, emit = mask, 0, 0, ()
+                while need and free >> shift:
+                    take = lowest[need if need < 8 else 8][free >> shift & 255]
+                    mask |= take << shift
+                    emit += _OFFSETS[shift >> 3][take]
+                    need -= take.bit_count()
+                    shift += 8
             src_rows[src] ^= mask
             dst_rows[dst] ^= mask
-            bits = mask
-            while bits:
-                low = bits & -bits
-                add_edge((low.bit_length() - 1, src, dst))
-                bits ^= low
+            for offset in emit:
+                add_edge((offset, src, dst))
         add_mask(mask)
     return masks
+
+
+def settle(rows: Sequence[DemandRow], masks: Sequence[int], base_slot: int,
+           spent: Optional[List[Tuple[int, int, int]]] = None) -> List[DemandRow]:
+    """The one survivor rule: a row that claimed ``mask`` in the batch at
+    ``base_slot`` has ``remaining - popcount(mask)`` slots left, and its
+    ``last_alloc`` becomes ``base_slot + bit_length(mask) - 1``.
+
+    Returns the rows with slots left, in row order, each unserved one as the
+    same object.  A spent row is dropped, or appended to ``spent`` as
+    ``(src, dst, last_alloc)`` when that is given.
+    """
+    last = base_slot - 1
+    survivors: List[DemandRow] = []
+    keep = survivors.append
+    for row, mask in zip(rows, masks):
+        if not mask:
+            keep(row)
+            continue
+        left = row[2] - mask.bit_count()
+        if left:
+            keep((row[0], row[1], left, last + mask.bit_length()))
+        elif spent is not None:
+            spent.append((row[0], row[1], last + mask.bit_length()))
+    return survivors
 
 
 class GreedyKernel:
@@ -163,19 +204,11 @@ class GreedyKernel:
         self.pending = []
         result.drained = len(ordered)
         bitmaps = self.bitmaps
-        base_slot = self.base_slot
         edges = result.edges
-        outflow = result.outflow
         if self.mode is AllocationMode.BATCH:
-            masks = allocate_slots(bitmaps, ordered, edges)
-            for demand, mask in zip(ordered, masks):
-                if not mask:
-                    outflow.append(demand)
-                    continue
-                left = demand[2] - mask.bit_count()
-                if left:
-                    outflow.append((demand[0], demand[1], left, base_slot + mask.bit_length() - 1))
+            result.outflow = settle(ordered, allocate_slots(bitmaps, ordered, edges), self.base_slot)
         else:
+            outflow = result.outflow
             src_rows = bitmaps.src
             dst_rows = bitmaps.dst
             extra = self.extra

@@ -23,11 +23,12 @@ every lane's absorb for one batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import BatchSink, replay
-from .kernel import allocate_slots, lru_order
+from .kernel import allocate_slots, lru_order, settle
 from .model import AdmittedBatch, BatchBitmaps, Config, DemandRow, RunResult
 from .workload import Arrival
 
@@ -133,19 +134,12 @@ class Lane:
         ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
         edges: List[Edge] = []
-        served: List[DemandRow] = []
-        claims: List[int] = []
-        unserved: List[DemandRow] = []
-        for demand, mask in zip(ordered, allocate_slots(bitmaps, ordered, edges)):
-            if mask:
-                served.append(demand)
-                claims.append(mask)
-            else:
-                unserved.append(demand)
+        masks = allocate_slots(bitmaps, ordered, edges)
         self.drained += len(ordered)
-        self.pending = unserved
+        self.pending = [demand for demand, mask in zip(ordered, masks) if not mask]
         self.last_admission = LaneAdmission(
-            self.lane_id, base_slot, self.cfg.batch_size, edges, served, claims, bitmaps)
+            self.lane_id, base_slot, self.cfg.batch_size, edges,
+            list(compress(ordered, masks)), [mask for mask in masks if mask], bitmaps)
         return self.last_admission
 
     @property
@@ -156,23 +150,15 @@ class Lane:
     def absorb(self, base_slot: int) -> None:
         """Requeue the survivors of the last fragment and count its slots.
 
-        A served row's remaining count drops by its kept offsets only, so
-        revoked offsets are restored; its last_alloc points to the last kept
-        slot, or stays at its pre-batch value when everything was revoked.
+        A served row is settled on its kept offsets only, so revoked offsets
+        are restored, and a row whose every offset was revoked is unchanged.
         """
         frag = self.last_admission
         kept = frag.masks if frag.kept is None else frag.kept
-        requeue = self.pending.append
-        granted_total = 0
-        for (src, dst, remaining, last_alloc), bits in zip(frag.rows, kept):
-            granted = bits.bit_count()
-            granted_total += granted
-            if remaining > granted:
-                if bits:
-                    last_alloc = base_slot + bits.bit_length() - 1
-                requeue((src, dst, remaining - granted, last_alloc))
-        self.allocated_slots += granted_total
-        self.cancelled_slots += len(frag.edges) - granted_total
+        self.pending += settle(frag.rows, kept, base_slot)
+        granted = sum(map(int.bit_count, kept))
+        self.allocated_slots += granted
+        self.cancelled_slots += len(frag.edges) - granted
         self.last_admission = None
 
     def pending_slots(self) -> int:

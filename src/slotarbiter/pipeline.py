@@ -57,6 +57,7 @@ class PipelineRing:
         self.ingest_pos = cfg.cores // 2 if cfg.mid_pipeline_ingest else 0
         self.position_drained = [0] * cfg.cores
         self.allocated_slots = 0
+        self.closed = False
 
     @property
     def next_base(self) -> int:
@@ -104,11 +105,14 @@ class PipelineRing:
         return [admitted]
 
     def close(self) -> List[AdmittedBatch]:
-        """Finish every batch still riding the ring, oldest first.
+        """Finish every batch still riding the ring, oldest first, once.
 
         Their survivors stay in the inbound queues, where ``pending_slots``
         counts them.
         """
+        if self.closed:
+            return []
+        self.closed = True
         num_ctx = len(self.contexts)
         closed: List[AdmittedBatch] = []
         for pos in range(num_ctx):

@@ -27,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conduits import Mailbox
 from .engine import BatchSink, replay
-from .kernel import allocate_slots, lru_order
+from .kernel import allocate_slots, lru_order, settle
 from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, DemandRow, RunResult
 from .permutation import PermutationSpec
 from .workload import Arrival, shard_range
@@ -139,25 +139,13 @@ def alloc_process(bin_: Bin, bitmaps: BatchBitmaps) -> None:
 
 
 def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
-    """Split the bin by outcome and return the edges ``alloc_process`` claimed.
+    """Settle the bin's entries and return the edges ``alloc_process`` claimed.
 
-    Spent entries become completions, partially served entries become
-    remainder rows with their LRU key advanced, untouched entries ride
-    back unchanged.  The splits are stored on the bin for the trip home.
+    Spent entries become completions and the rest remainder rows (see
+    ``kernel.settle``), stored on the bin for the trip home.
     """
     completed: List[Tuple[int, int, int]] = []
-    remainders: List[DemandRow] = []
-    for entry, bits in zip(bin_.entries, bin_.result_bits):
-        if not bits:
-            remainders.append(entry)
-            continue
-        src, dst, remaining, _ = entry
-        left = remaining - bits.bit_count()
-        last_alloc = base_slot + bits.bit_length() - 1
-        if left:
-            remainders.append((src, dst, left, last_alloc))
-        else:
-            completed.append((src, dst, last_alloc))
+    remainders = settle(bin_.entries, bin_.result_bits, base_slot, completed)
     edges = bin_.edges
     bin_.clear()
     bin_.completed = completed

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slotarbiter
@@ -19,7 +19,7 @@ from slotarbiter import (
     lru_order,
     oracle_allocate,
 )
-from slotarbiter.kernel import allocate_slots
+from slotarbiter.kernel import _LOWEST, _OFFSETS, allocate_slots, settle
 from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
 
 from conftest import claim, first_free_slot
@@ -181,9 +181,43 @@ def _reference_pass(src_rows, dst_rows, demands):
     return masks, edges
 
 
+def _set_bits(byte):
+    """Offsets of the set bits of ``byte``, lowest first, one bit at a time."""
+    offsets = []
+    while byte:
+        low = byte & -byte
+        offsets.append(low.bit_length() - 1)
+        byte ^= low
+    return offsets
+
+
 class TestAllocateSlots:
     """The one greedy pass, against a per-demand loop."""
 
+    def test_tables_equal_bit_loop(self):
+        for byte in range(256):
+            bits = _set_bits(byte)
+            for count in range(9):
+                assert _LOWEST[count][byte] == sum(1 << j for j in bits[:count])
+            for lane in range(8):
+                assert _OFFSETS[lane][byte] == tuple(8 * lane + j for j in bits)
+        assert [len(table) for table in _LOWEST] == [256] * 9
+        assert [len(table) for table in _OFFSETS] == [256] * 8
+
+    # masks that span byte lanes, with demands of 8 and more that end inside,
+    # at, and past a lane, and a lane walk that skips empty lanes
+    @example(drawn=(
+        16,
+        [0xFFFF, 0xF0F5, 0x0FF0],
+        [0xFFFF, 0xBEEF, 0xFFFF],
+        [Demand(1, 0, 9), Demand(0, 1, 8), Demand(2, 0, 12), Demand(0, 2, 18)],
+    ))
+    @example(drawn=(
+        64,
+        [0x8000_00F0_0000_0F01, (1 << 64) - 1, (1 << 64) - 1],
+        [0xFFFF_0000_0000_FF00, (1 << 64) - 1, (1 << 64) - 1],
+        [Demand(0, 1, 9), Demand(2, 1, 64), Demand(1, 0, 8), Demand(0, 2, 3), Demand(1, 2, 40)],
+    ))
     @given(_pass_input())
     def test_pass_equals_per_demand_loop(self, drawn):
         batch_size, src_rows, dst_rows, demands = drawn
@@ -217,6 +251,48 @@ class TestAllocateSlots:
         assert edges == [(1, 0, 2), (2, 0, 2), (4, 0, 2), (5, 1, 2), (7, 1, 2),
                          (0, 3, 1), (1, 3, 1)]
         assert bitmaps.dst[2] == 0
+
+
+@st.composite
+def _claimed_rows(draw):
+    """Rows and masks as a pass leaves them: a mask within the batch width
+    claims at most the row's remaining count; ``last_alloc`` is before the
+    batch."""
+    batch_size = draw(st.sampled_from(VALID_BATCH_SIZES))
+    base_slot = draw(st.integers(1, 500)) * batch_size + 1
+    rows, masks = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        mask = draw(st.one_of(st.just(0), st.integers(0, (1 << batch_size) - 1)))
+        remaining = draw(st.integers(max(1, mask.bit_count()), batch_size + 3))
+        src, dst = draw(st.sampled_from([(0, 1), (1, 0), (2, 1), (3, 4)]))
+        rows.append((src, dst, remaining, draw(st.integers(0, base_slot - 1))))
+        masks.append(mask)
+    return rows, masks, base_slot
+
+
+class TestSettle:
+    """The one survivor rule."""
+
+    @given(_claimed_rows())
+    def test_rows_account_for_their_masks(self, drawn):
+        rows, masks, base_slot = drawn
+        spent = []
+        survivors = settle(rows, masks, base_slot, spent)
+        assert settle(rows, masks, base_slot) == survivors
+        kept, done = iter(survivors), iter(spent)
+        for row, mask in zip(rows, masks):
+            src, dst, remaining, last_alloc = row
+            if remaining == mask.bit_count():
+                assert next(done) == (src, dst, base_slot + mask.bit_length() - 1)
+                continue
+            survivor = next(kept)
+            assert remaining == mask.bit_count() + survivor[2]
+            assert survivor[:2] == (src, dst)
+            if mask:
+                assert survivor[3] == base_slot + mask.bit_length() - 1 != last_alloc
+            else:
+                assert survivor is row
+        assert next(kept, None) is None and next(done, None) is None
 
 
 def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):

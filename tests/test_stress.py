@@ -188,6 +188,19 @@ class TestPacedMachines:
         assert machine.pending_slots() == pending
         assert demanded == machine.engine.allocated_slots + pending
 
+    @pytest.mark.parametrize("arch", list(MACHINES), ids=lambda a: a.value)
+    def test_second_close_emits_nothing(self, arch):
+        engine = ENGINES[arch](machine_cfg(arch))
+        engine.admit([Demand(src, (src + 1 + i) % 32, 12) for i in range(3) for src in range(32)])
+        engine.emit()
+        engine.admit([])
+        closed = engine.close()
+        if arch is Architecture.PIPELINED:  # one batch per context, still riding the ring
+            assert len(closed) == 2 and all(batch.edges for batch in closed)
+        pending, allocated = engine.pending_slots(), engine.allocated_slots
+        assert engine.close() == []
+        assert (engine.pending_slots(), engine.allocated_slots) == (pending, allocated)
+
     @pytest.mark.parametrize(
         "arch, kw",
         [
