@@ -40,7 +40,11 @@ class Engine(Protocol):
         whether the engine holds work."""
 
     def emit(self) -> List[AdmittedBatch]:
-        """Close the next batch or batches, in slot order."""
+        """Close the next batch or batches, in slot order.
+
+        Replay and the paced machine admit before every emit.  Two emits in a
+        row still conserve, but the pipelined ring hands the rows the first
+        flushed into its new head on to the next context, unswept."""
 
     def close(self) -> List[AdmittedBatch]:
         """Finish what is still in flight when a run ends; a second call emits nothing."""
@@ -66,7 +70,7 @@ def replay(
     """
     batches: List[AdmittedBatch] = []
     out = batches.append if sink is None else sink
-    cursor = ArrivalCursor(arrivals)
+    cursor = ArrivalCursor(arrivals, cfg.num_nodes)
     slot_ns = cfg.slot_ns
     demanded = 0
     for _ in range(max_steps):

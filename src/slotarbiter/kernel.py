@@ -259,7 +259,7 @@ class GreedyKernel:
                 last_alloc = self.base_slot + offset
                 leftovers.extend([(src, dst, left, last_alloc) for src, dst, left in parked])
                 parked.clear()
-        if self.pending:  # only possible if finish is called without a sweep
+        if self.pending:  # ingested since the last sweep, e.g. a flush the ring handed on
             leftovers.extend(lru_order(self.pending, self.base_slot))
             self.pending = []
         batch = AdmittedBatch(self.base_slot, self.batch_size, tuple(self.edges))

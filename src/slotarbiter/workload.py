@@ -127,15 +127,19 @@ class ArrivalCursor:
 
     The sort is stable, so arrivals stamped with the same time keep their
     trace order.  Building the cursor checks every arrival once, raising the
-    ValueError its ``Demand`` would raise.
+    ValueError its ``Demand`` would raise, or one naming the first arrival
+    with a node outside ``[0, num_nodes)``.
     """
 
-    def __init__(self, arrivals: Sequence[Arrival]) -> None:
+    def __init__(self, arrivals: Sequence[Arrival], num_nodes: int) -> None:
         ordered = sorted(arrivals, key=attrgetter("arrival_ns"))
         self._rows: List[DemandRow] = [(a.src, a.dst, a.size, NEVER_ALLOCATED) for a in ordered]
-        bad = next((row for row in self._rows if row[0] == row[1] or row[2] < 1), None)
+        bad = next((row for row in self._rows if row[0] == row[1] or row[2] < 1
+                    or not (0 <= row[0] < num_nodes and 0 <= row[1] < num_nodes)), None)
         if bad is not None:
-            Demand(*bad)  # raises
+            Demand(*bad)  # raises, unless only a node is out of range
+            arrival = ordered[self._rows.index(bad)]
+            raise ValueError(f"{arrival} names a node outside [0, {num_nodes})")
         self._times = [a.arrival_ns for a in ordered]
         self._pos = 0
 

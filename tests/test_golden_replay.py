@@ -6,6 +6,9 @@ compares the edge digest, the batch count and the allocated, pending and
 cancelled slots against values recorded before the drivers were merged into
 ``slotarbiter.engine``.  A change that means to alter replay output updates
 the table: ``python tests/test_golden_replay.py`` prints the current rows.
+
+``SCHEDULE_CASES`` drive a ``PipelineRing`` by a fixed schedule that replay
+never takes: several admits, one of them empty, before each emit.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from slotarbiter import (
     run_pipeline_deterministic,
     run_shuffle_deterministic,
 )
-from slotarbiter.workload import Arrival
+from slotarbiter.pipeline import PipelineRing
+from slotarbiter.workload import Arrival, ArrivalCursor
 
 from conftest import edges_of
 
@@ -149,7 +153,76 @@ def test_replay_matches_golden_row(case, trace_name, kwargs, steps):
     assert res.metrics.conservation_ok()
 
 
+#: (case id, trace, config keywords, steps)
+SCHEDULE_CASES = [
+    ("ring-pipe-1", "dense", {"cores": 1}, 60),
+    ("ring-pipe-2", "dense", {"cores": 2}, 60),
+    ("ring-pipe-4", "dense", {"cores": 4}, 60),
+    ("ring-pipe-4-mid", "dense", {"cores": 4, "mid_pipeline_ingest": True}, 60),
+    ("ring-pipe-2-cut", "dense", {"cores": 2}, 8),
+    ("ring-slot-1", "dense", {"cores": 1, "mode": PER_SLOT}, 60),
+    ("ring-slot-2-mid", "dense", {"cores": 2, "mode": PER_SLOT, "mid_pipeline_ingest": True}, 60),
+    ("ring-slot-4", "dense", {"cores": 4, "mode": PER_SLOT}, 60),
+    ("ring-slot-4-cut", "dense", {"cores": 4, "mode": PER_SLOT}, 8),
+    ("ring-pipe-2-sparse", "sparse", {"cores": 2}, 60),
+]
+
+#: case id -> (digest, batches, allocated, pending, position_drained)
+SCHEDULE_GOLDEN = {
+    "ring-pipe-1": ("422c40eb2ba5d759", 61, 4206, 0, (2734,)),
+    "ring-pipe-2": ("6dbc606f11b20142", 62, 4206, 0, (400, 2212)),
+    "ring-pipe-4": ("b5864e2f3973d18c", 64, 4206, 0, (400, 365, 330, 1337)),
+    "ring-pipe-4-mid": ("576e1c5d065234ec", 64, 4206, 0, (0, 0, 400, 2212)),
+    "ring-pipe-2-cut": ("37fca79c08f74215", 10, 1017, 439, (141, 284)),
+    "ring-slot-1": ("7e98060d68247478", 61, 4206, 0, (11132,)),
+    "ring-slot-2-mid": ("bbc17f0234a223fd", 62, 4206, 0, (6247, 6429)),
+    "ring-slot-4": ("5a102db0c5167657", 64, 4206, 0, (5468, 3253, 1717, 656)),
+    "ring-slot-4-cut": ("b90d9f6ae58f8f5f", 12, 1069, 387, (1152, 507, 226, 24)),
+    "ring-pipe-2-sparse": ("008e2d1412e6901d", 62, 1018, 0, (500, 5)),
+}
+
+
+def schedule_case(trace_name: str, kwargs: dict, steps: int) -> tuple:
+    """Each step releases its arrivals, admits them in 2 or 3 chunks with an
+    empty admit after the first, and emits once; then the ring is closed.
+
+    Returns the row of ``SCHEDULE_GOLDEN`` and the demanded slot count.
+    """
+    nodes = TRACES[trace_name][2]
+    cfg = Config(num_nodes=nodes, **kwargs)
+    ring = PipelineRing(cfg)
+    cursor = ArrivalCursor(golden_trace(trace_name), nodes)
+    batches = []
+    demanded = 0
+    for step in range(steps):
+        fresh = cursor.release((ring.next_base - 1) * cfg.slot_ns)
+        demanded += sum(d[2] for d in fresh)
+        parts = 2 + step % 2
+        cuts = [len(fresh) * k // parts for k in range(parts + 1)]
+        for k in range(parts):
+            ring.admit(fresh[cuts[k]:cuts[k + 1]])
+            if k == 0:
+                ring.admit([])
+        batches.extend(ring.emit())
+    batches.extend(ring.close())
+    row_ = (digest(batches), len(batches), ring.allocated_slots, ring.pending_slots(),
+            tuple(ring.position_drained))
+    return row_, demanded
+
+
+@pytest.mark.parametrize("case, trace_name, kwargs, steps", SCHEDULE_CASES,
+                         ids=[c[0] for c in SCHEDULE_CASES])
+def test_scheduled_ring_matches_golden_row(case, trace_name, kwargs, steps):
+    row_, demanded = schedule_case(trace_name, kwargs, steps)
+    assert row_ == SCHEDULE_GOLDEN[case]
+    assert demanded == row_[2] + row_[3]
+
+
 if __name__ == "__main__":
     for case, trace_name, kwargs, steps in CASES:
         digest_, *counts = row(replay_case(trace_name, kwargs, steps))
+        print(f'    "{case}": ("{digest_}", {", ".join(map(str, counts))}),')
+    print()
+    for case, trace_name, kwargs, steps in SCHEDULE_CASES:
+        digest_, *counts = schedule_case(trace_name, kwargs, steps)[0]
         print(f'    "{case}": ("{digest_}", {", ".join(map(str, counts))}),')

@@ -201,6 +201,34 @@ class TestPacedMachines:
         assert engine.close() == []
         assert (engine.pending_slots(), engine.allocated_slots) == (pending, allocated)
 
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "arch, mode",
+        [
+            (Architecture.PIPELINED, AllocationMode.BATCH),
+            (Architecture.PIPELINED, AllocationMode.PER_SLOT),
+            (Architecture.PARALLEL, AllocationMode.BATCH),
+            (Architecture.SHUFFLE, AllocationMode.BATCH),
+        ],
+        ids=["pipelined", "pipelined-per-slot", "parallel", "shuffle"],
+    )
+    def test_emits_without_admit_between_conserve(self, arch, mode, width):
+        # neither replay nor the paced machine emits twice without an admit
+        (key,) = MACHINES[arch][0]
+        engine = ENGINES[arch](machine_cfg(arch, mode=mode, **{key: width}))
+        demanded = 0
+        batches = []
+        for first in (0, 16):
+            demands = [Demand(src, (src + first + 1 + i) % 32, 12)
+                       for i in range(3) for src in range(first, first + 16)]
+            demanded += sum(d.remaining for d in demands)
+            engine.admit(demands)
+            batches += engine.emit() + engine.emit()
+            assert demanded == engine.allocated_slots + engine.pending_slots()
+        batches += engine.close()
+        assert demanded == engine.allocated_slots + engine.pending_slots()
+        assert engine.allocated_slots == sum(len(batch.edges) for batch in batches)
+
     @pytest.mark.parametrize(
         "arch, kw",
         [

@@ -99,7 +99,7 @@ _EVERY_ARCHITECTURE = {
 class TestArrivalCursor:
     @given(st.lists(_ARRIVAL, max_size=30), st.lists(st.integers(-1000, 7000), max_size=8))
     def test_releases_concatenate_to_the_stably_sorted_rows(self, arrivals, cuts):
-        cursor = ArrivalCursor(arrivals)
+        cursor = ArrivalCursor(arrivals, 8)
         released = []
         last = -1001
         for cut in sorted(cuts) + [7000]:
@@ -114,17 +114,23 @@ class TestArrivalCursor:
         assert cursor.exhausted
 
     def test_release_before_the_first_arrival_is_empty(self):
-        cursor = ArrivalCursor([Arrival(500, 1, 2, 3)])
+        cursor = ArrivalCursor([Arrival(500, 1, 2, 3)], 8)
         assert cursor.release(499) == []
         assert not cursor.exhausted
         assert cursor.release(500) == [(1, 2, 3, 0)]
 
-    @pytest.mark.parametrize("bad", [Arrival(2000, 3, 3, 4), Arrival(2000, 3, 4, 0)],
-                             ids=["src-equals-dst", "size-zero"])
+    @pytest.mark.parametrize(
+        "bad",
+        [Arrival(2000, 3, 3, 4), Arrival(2000, 3, 4, 0), Arrival(2000, -1, 4, 2),
+         Arrival(2000, 8, 4, 2), Arrival(2000, 3, -1, 2), Arrival(2000, 3, 8, 2)],
+        ids=["src-equals-dst", "size-zero", "src-negative", "src-past-end", "dst-negative",
+             "dst-past-end"],
+    )
     @pytest.mark.parametrize("name", list(_EVERY_ARCHITECTURE))
     def test_invalid_arrival_fails_every_architecture(self, name, bad):
         trace = [Arrival(0, 1, 2, 3), bad, Arrival(4000, 2, 5, 1)]
-        with pytest.raises(ValueError, match="src == dst|at least 1 slot"):
+        expected = r"src == dst|at least 1 slot|names a node outside \[0, 8\)$"
+        with pytest.raises(ValueError, match=expected):
             run_deterministic(_EVERY_ARCHITECTURE[name], trace)
 
     def test_invalid_arrival_check_survives_optimize_flag(self):
@@ -139,7 +145,8 @@ class TestArrivalCursor:
                 Config(8, architecture=Architecture.PARALLEL, lanes=2),
                 Config(8, architecture=Architecture.SHUFFLE, sets=2),
             ]
-            for bad in (Arrival(0, 3, 3, 4), Arrival(0, 3, 4, 0)):
+            for bad in (Arrival(0, 3, 3, 4), Arrival(0, 3, 4, 0), Arrival(0, -1, 4, 2),
+                        Arrival(0, 8, 4, 2), Arrival(0, 3, -1, 2), Arrival(0, 3, 8, 2)):
                 for cfg in configs:
                     try:
                         run_deterministic(cfg, [Arrival(0, 1, 2, 3), bad])
@@ -154,8 +161,9 @@ class TestArrivalCursor:
         )
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert len(lines) == 8, proc.stdout
-        assert all(line.startswith("ValueError: demand") for line in lines), proc.stdout
+        assert len(lines) == 24, proc.stdout
+        assert all(line.startswith("ValueError: demand") for line in lines[:8]), proc.stdout
+        assert all(line.endswith("names a node outside [0, 8)") for line in lines[8:]), proc.stdout
 
 
 class TestShardSpec:
