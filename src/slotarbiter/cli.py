@@ -161,8 +161,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 return 2
             edges.append((slot, src, dst))
 
-    batch = AdmittedBatch(0, max((s for s, _, _ in edges), default=0) + 1, tuple(edges))
-    violation = verify_admitted(batch)
+    parts: Dict[int, List[Tuple[int, int, int]]] = defaultdict(list)
+    for slot, src, dst in edges:  # 64-slot batches keep every claim mask one word wide
+        parts[slot // 64].append((slot % 64, src, dst))
+    checks = (verify_admitted(AdmittedBatch(64 * w, 64, tuple(parts[w]))) for w in sorted(parts))
+    violation = next((v for v in checks if v is not None), None)
     if violation is not None:
         print(f"capacity violation: {violation}")
         return 1

@@ -21,18 +21,19 @@ the one LRU rule in the package: the pipeline contexts, the parallel lanes
 and the shuffle shards all drain in its order.  ``allocate_slots`` is the one
 greedy pass, and all three call it once per sweep, lane batch or bin: it
 claims slots for a whole ordered demand list, a byte of each joint-free mask
-at a time through two lookup tables, and returns one mask of claimed offsets
-per demand.  ``settle`` is the one survivor rule, which turns the rows and
-their masks into the rows that still want slots.
+at a time, and returns one claim mask per demand, with nothing built per
+slot.  ``settle`` is the one survivor rule.  A kernel's batch is its claims:
+the served rows and their masks, or one ``(row, low)`` per PER_SLOT hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .model import AdmittedBatch, AllocationMode, BatchBitmaps, DemandRow
+from .model import _OFFSETS, AdmittedBatch, AllocationMode, BatchBitmaps, DemandRow
 
 #: Coarse LRU priority levels: a demand starved for this many slots less one
 #: ranks with every demand starved longer.
@@ -64,58 +65,45 @@ def lru_order(
 
 @dataclass
 class SweepResult:
-    """What one drain sweep produced; ``outflow`` holds the rows that left."""
+    """What one sweep produced: the rows that left, the count drained, the slots claimed."""
 
-    edges: List[Tuple[int, int, int]] = field(default_factory=list)
     outflow: List[DemandRow] = field(default_factory=list)
     drained: int = 0
+    allocated: int = 0
 
 
-#: ``_OFFSETS[lane][byte]``: the offsets of the set bits of ``byte`` in byte
-#: lane ``lane`` of a mask (bit j of the byte is offset 8 * lane + j), ascending.
-_OFFSETS = tuple(tuple(tuple(8 * lane + j for j in range(8) if byte >> j & 1) for byte in range(256))
-                 for lane in range(8))
 #: ``_LOWEST[k][byte]``: the lowest ``k`` set bits of ``byte``, for k in 0..8.
 _LOWEST = tuple(tuple(sum(1 << j for j in bits[:k]) for bits in _OFFSETS[0]) for k in range(9))
 
 
-def allocate_slots(
-    bitmaps: BatchBitmaps, demands: Sequence[DemandRow], edges: List[Tuple[int, int, int]]
-) -> List[int]:
+def allocate_slots(bitmaps: BatchBitmaps, demands: Sequence[DemandRow]) -> List[int]:
     """One greedy pass: each demand, in the given order, claims its lowest
     offsets free in both its source's and its destination's row, up to its
     remaining count.
 
-    Clears every claim from the rows, appends ``(offset, src, dst)`` to
-    ``edges`` in demand order and then ascending offset, and returns one mask
-    of claimed offsets per demand (0 for a demand that got nothing).  A mask
-    wider than a byte is claimed one byte lane at a time, lowest lane first.
+    Clears every claim from the rows and returns one mask of claimed offsets
+    per demand (0 for a demand that got nothing).  A mask wider than a byte is
+    claimed one byte lane at a time, lowest lane first.
     """
     src_rows = bitmaps.src
     dst_rows = bitmaps.dst
     lowest = _LOWEST
-    first_lane = _OFFSETS[0]
     masks: List[int] = []
     add_mask = masks.append
-    add_edge = edges.append
     for src, dst, need, _ in demands:
         mask = src_rows[src] & dst_rows[dst]
         if mask:
             if mask < 256:
                 mask = lowest[need if need < 8 else 8][mask]
-                emit = first_lane[mask]
             else:
-                free, mask, shift, emit = mask, 0, 0, ()
+                free, mask, shift = mask, 0, 0
                 while need and free >> shift:
                     take = lowest[need if need < 8 else 8][free >> shift & 255]
                     mask |= take << shift
-                    emit += _OFFSETS[shift >> 3][take]
                     need -= take.bit_count()
                     shift += 8
             src_rows[src] ^= mask
             dst_rows[dst] ^= mask
-            for offset in emit:
-                add_edge((offset, src, dst))
         add_mask(mask)
     return masks
 
@@ -149,8 +137,8 @@ class GreedyKernel:
     """Stateful allocation kernel for one execution lane.
 
     Owns the pending demands, the per-slot extra lists, the bitmaps and the
-    admitted edges for the batch it is currently assigned.  ``reset`` rebinds
-    it to a new batch; ``ingest`` queues incoming demands; ``sweep`` drains
+    claims (``rows``, ``masks``) of its current batch.  ``reset`` rebinds it
+    to a new batch; ``ingest`` queues incoming demands; ``sweep`` drains
     everything queued or parked; and ``finish`` flushes the retained per-slot
     survivors and returns the AdmittedBatch.  Instances are single-owner and
     may move between lanes at batch boundaries only.
@@ -169,7 +157,8 @@ class GreedyKernel:
         self.pending: List[DemandRow] = []
         self.extra: List[List[Tuple[int, int, int]]] = [[] for _ in range(batch_size)]
         self.bitmaps = BatchBitmaps(num_nodes, batch_size)
-        self.edges: List[Tuple[int, int, int]] = []
+        self.rows: List[Tuple[int, ...]] = []
+        self.masks: List[int] = []
 
     def is_empty(self) -> bool:
         """Whether no demand is queued or parked."""
@@ -181,7 +170,8 @@ class GreedyKernel:
             raise RuntimeError("kernel reset with live demands")
         self.base_slot = base_slot
         self.bitmaps = BatchBitmaps(self.num_nodes, self.batch_size)
-        self.edges = []
+        self.rows = []
+        self.masks = []
 
     def ingest(self, demands: Iterable[DemandRow]) -> None:
         """Queue demands behind the ones already pending."""
@@ -198,21 +188,27 @@ class GreedyKernel:
         ascending slot order, so an entry hops forward through them collecting
         further slots.  A pending demand that gets no slot flows out as the
         same object; a parked entry that gets none stays parked, in order.
+        Each hop is claimed as the row or entry it served and its one-bit mask.
         """
         result = SweepResult()
         ordered = lru_order(self.pending, self.base_slot)
         self.pending = []
         result.drained = len(ordered)
         bitmaps = self.bitmaps
-        edges = result.edges
         if self.mode is AllocationMode.BATCH:
-            result.outflow = settle(ordered, allocate_slots(bitmaps, ordered, edges), self.base_slot)
+            masks = allocate_slots(bitmaps, ordered)
+            result.outflow = settle(ordered, masks, self.base_slot)
+            self.rows += compress(ordered, masks)
+            self.masks += filter(None, masks)
+            result.allocated = sum(map(int.bit_count, masks))
         else:
             outflow = result.outflow
             src_rows = bitmaps.src
             dst_rows = bitmaps.dst
             extra = self.extra
-            add_edge = edges.append
+            hops = len(self.masks)
+            add_row = self.rows.append
+            add_mask = self.masks.append
             for demand in ordered:
                 src, dst, remaining, _ = demand
                 joint = src_rows[src] & dst_rows[dst]
@@ -222,10 +218,10 @@ class GreedyKernel:
                 low = joint & -joint
                 src_rows[src] ^= low
                 dst_rows[dst] ^= low
-                offset = low.bit_length() - 1
-                add_edge((offset, src, dst))
+                add_row(demand)
+                add_mask(low)
                 if remaining > 1:
-                    extra[offset].append((src, dst, remaining - 1))
+                    extra[low.bit_length() - 1].append((src, dst, remaining - 1))
             # A re-allocated entry always lands at a strictly higher offset
             # than the extra list it came from, so one ascending pass visits
             # every hop, and no list grows while it is being drained.
@@ -242,12 +238,12 @@ class GreedyKernel:
                         low = joint & -joint
                         src_rows[src] ^= low
                         dst_rows[dst] ^= low
-                        hop = low.bit_length() - 1
-                        add_edge((hop, src, dst))
+                        add_row(entry)
+                        add_mask(low)
                         if left > 1:
-                            extra[hop].append((src, dst, left - 1))
+                            extra[low.bit_length() - 1].append((src, dst, left - 1))
                     extra[offset] = stay
-        self.edges.extend(edges)
+            result.allocated = len(self.masks) - hops
         return result
 
     def finish(self) -> Tuple[AdmittedBatch, List[DemandRow]]:
@@ -262,7 +258,7 @@ class GreedyKernel:
         if self.pending:  # ingested since the last sweep, e.g. a flush the ring handed on
             leftovers.extend(lru_order(self.pending, self.base_slot))
             self.pending = []
-        batch = AdmittedBatch(self.base_slot, self.batch_size, tuple(self.edges))
+        batch = AdmittedBatch.from_claims(self.base_slot, self.batch_size, self.rows, self.masks)
         return batch, leftovers
 
     def pending_slots(self) -> int:

@@ -1,7 +1,8 @@
 """Shared domain model for the timeslot-allocation arbiter.
 
 Everything here is plain data: node ids, demands, per-batch availability
-bitmaps, admitted batches, run configuration and run metrics.  The types are
+bitmaps, admitted batches (one claim mask per served row, with per-slot
+edges built on demand), run configuration and run metrics.  The types are
 immutable (or single-owner, in the case of bitmaps) so they can be copied or
 handed between execution lanes without locks; the engines carry demands as
 plain ``DemandRow`` tuples, of which a validated ``Demand`` is one.
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from enum import Enum
-from typing import Dict, Iterator, List, NamedTuple, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Sequence, Tuple
 
 NEVER_ALLOCATED = 0
 
@@ -94,22 +95,57 @@ class Demand(DemandRow):
             raise ValueError(f"demand must request at least 1 slot, got {self.remaining}")
 
 
-@dataclass(frozen=True, slots=True)
-class AdmittedBatch:
-    """Edges admitted for one batch of consecutive timeslots.
+Edge = Tuple[int, int, int]  # (slot_offset, src, dst), or (absolute_slot, src, dst)
 
-    ``edges`` holds (slot_offset, src, dst) with slot_offset in
-    [0, batch_size); absolute timeslot = base_slot + slot_offset.
+#: ``_OFFSETS[lane][byte]``: the offsets of the set bits of ``byte`` in byte
+#: lane ``lane`` of a mask (bit j of the byte is offset 8 * lane + j), ascending.
+_OFFSETS = tuple(tuple(tuple(8 * lane + j for j in range(8) if byte >> j & 1) for byte in range(256))
+                 for lane in range(8))
+
+
+class AdmittedBatch:
+    """The claims admitted for one batch of consecutive timeslots.
+
+    A claim is a row whose first two fields are a src and a dst, and a mask
+    whose bit j is offset j in [0, batch_size), timeslot ``base_slot + j``.
+    The engines use ``from_claims``; ``AdmittedBatch(base_slot, batch_size,
+    edges)`` makes one claim per ``(slot_offset, src, dst)`` edge.  ``edges``
+    is built on first read, in claim order and then ascending offset, from
+    ``_OFFSETS``.  ``len`` is a popcount; batches compare by their edges.
     """
 
-    base_slot: int
-    batch_size: int
-    edges: Tuple[Tuple[int, int, int], ...]
+    __slots__ = ("base_slot", "batch_size", "rows", "masks", "_edges")
+
+    def __init__(self, base_slot: int, batch_size: int, edges: Tuple[Edge, ...]) -> None:
+        self.base_slot, self.batch_size, self._edges = base_slot, batch_size, edges
+        self.rows: Sequence[Sequence[int]] = [edge[1:] for edge in edges]
+        self.masks: Sequence[int] = [1 << edge[0] for edge in edges]
+
+    @classmethod
+    def from_claims(cls, base_slot: int, batch_size: int, rows: Sequence[Sequence[int]],
+                    masks: Sequence[int]) -> "AdmittedBatch":
+        batch = cls(base_slot, batch_size, ())
+        batch.rows, batch.masks, batch._edges = rows, masks, None
+        return batch
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        if self._edges is None:
+            first = _OFFSETS[0]
+            self._edges = tuple([(o, row[0], row[1]) for row, mask in zip(self.rows, self.masks)
+                                 for o in (first[mask] if mask < 256 else [
+                                     j for lane in range((mask.bit_length() + 7) >> 3)
+                                     for j in _OFFSETS[lane][mask >> 8 * lane & 255]])])
+        return self._edges
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.masks))
 
-    def absolute_edges(self) -> Iterator[Tuple[int, int, int]]:
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, AdmittedBatch) and self.base_slot == other.base_slot
+                and self.batch_size == other.batch_size and self.edges == other.edges)
+
+    def absolute_edges(self) -> Iterator[Edge]:
         """Yield (absolute_slot, src, dst) for every admitted edge."""
         for offset, src, dst in self.edges:
             yield self.base_slot + offset, src, dst

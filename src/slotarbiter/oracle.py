@@ -10,7 +10,7 @@ with the bitmap kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .model import AdmittedBatch, AllocationMode, Demand
 
@@ -118,17 +118,22 @@ def oracle_allocate(
 
 
 def verify_admitted(batch: AdmittedBatch) -> Optional[CapacityViolation]:
-    """Check per-slot per-role uniqueness; None means the batch is valid."""
-    seen_src: Set[Tuple[int, int]] = set()
-    seen_dst: Set[Tuple[int, int]] = set()
-    for offset, src, dst in batch.edges:
-        slot = batch.base_slot + offset
-        if (offset, src) in seen_src:
-            return CapacityViolation(slot, src, "src")
-        if (offset, dst) in seen_dst:
+    """Check per-slot per-role uniqueness claim by claim: the first clash in
+    edge order (lowest offset, source role first), or None if the batch is valid."""
+    used_src: Dict[int, int] = {}
+    used_dst: Dict[int, int] = {}
+    for row, mask in zip(batch.rows, batch.masks):
+        src, dst = row[0], row[1]
+        held_src, held_dst = used_src.get(src, 0), used_dst.get(dst, 0)
+        clash = mask & (held_src | held_dst)
+        if clash:
+            low = clash & -clash
+            slot = batch.base_slot + low.bit_length() - 1
+            if held_src & low:
+                return CapacityViolation(slot, src, "src")
             return CapacityViolation(slot, dst, "dst")
-        seen_src.add((offset, src))
-        seen_dst.add((offset, dst))
+        used_src[src] = held_src | mask
+        used_dst[dst] = held_dst | mask
     return None
 
 

@@ -7,10 +7,11 @@ batch a lane puts its pending set in the system-wide LRU order
 into) and claims slots for all of it in one ``kernel.allocate_slots`` pass.
 Its fragment carries what that pass produced: the served rows in pass order,
 their claim masks and the lane's bitmaps after the pass.  Because the bitmaps
-are private, two lanes can admit edges that contend on a source or
+are private, two lanes can claim slots that contend on a source or
 destination; the reconciliation stage works on the masks: the lowest lane
 that claimed a (slot, role, node) wins it, and a claim keeps only the
-offsets no lower lane claimed for its source or destination.  Cancelled
+offsets no lower lane claimed for its source or destination.  The batch it
+emits is every lane's rows with their kept masks.  Cancelled
 slots are restored to their demands, whose rows re-enter the lane's pending
 set with the last-allocation key rolled back, so nothing is ever lost.
 
@@ -29,11 +30,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .engine import BatchSink, replay
 from .kernel import allocate_slots, lru_order, settle
-from .model import AdmittedBatch, BatchBitmaps, Config, DemandRow, RunResult
+from .model import AdmittedBatch, BatchBitmaps, Config, DemandRow, Edge, RunResult
 from .workload import Arrival
-
-Edge = Tuple[int, int, int]  # (slot_offset, src, dst)
-
 
 @dataclass
 class LaneAdmission:
@@ -41,8 +39,7 @@ class LaneAdmission:
 
     ``rows`` are the demands the lane's pass served, in pass order, and
     ``masks`` their claimed offsets; ``bitmaps`` are the lane's rows after
-    the pass, the full rows minus exactly those masks.  ``edges`` are the
-    claims, in row order and then ascending offset.  ``reconcile`` sets
+    the pass, the full rows minus exactly those masks.  ``reconcile`` sets
     ``kept``, the part of each mask that stood, only when some claim was
     cut; ``None`` means every claim stood.
     """
@@ -50,11 +47,16 @@ class LaneAdmission:
     lane_id: int
     base_slot: int
     batch_size: int
-    edges: List[Edge]
     rows: List[DemandRow]
     masks: List[int]
     bitmaps: BatchBitmaps
     kept: Optional[List[int]] = None
+
+    @property
+    def edges(self) -> Tuple[Edge, ...]:
+        """The claims as ``(slot_offset, src, dst)`` edges, built on each read."""
+        batch = AdmittedBatch.from_claims(self.base_slot, self.batch_size, self.rows, self.masks)
+        return batch.edges
 
 
 @dataclass
@@ -67,13 +69,13 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
     """Cancel contending claims: the lowest lane that claimed a (slot, role,
     node) wins it, even when its own edge loses the other role.
 
-    The lowest lane wins everything it claimed, so its edges pass through
+    The lowest lane wins everything it claimed, so its claims pass through
     whole and its free rows start the running "still free" rows.  Each higher
     lane, in lane order, keeps of a claim's mask the offsets still free for
     its source and its destination, then clears the whole mask from the
-    running rows.  ``final`` holds the kept edges in lane order, then row
-    order, then ascending offset.  Fragments must all target the same base
-    slot.
+    running rows.  ``final`` holds every lane's rows with their kept masks,
+    in lane order and then row order; ``cancelled`` counts the slots cut.
+    Fragments must all target the same base slot.
     """
     if not fragments:
         raise ValueError("reconcile needs at least one fragment")
@@ -83,32 +85,31 @@ def reconcile(fragments: Sequence[LaneAdmission]) -> ReconcileResult:
         raise ValueError("fragments target different base slots")
 
     first, *rest = sorted(fragments, key=attrgetter("lane_id"))
-    final: List[Edge] = list(first.edges)
-    claimed = len(first.edges)
+    out_rows = list(first.rows)
+    out_masks = list(first.masks)
+    cancelled = 0
     free_src = first.bitmaps.src  # offsets no lower lane claimed, per node
     free_dst = first.bitmaps.dst
     if len(rest) > 1:  # lanes below the top one clear their claims from copies
         free_src = list(free_src)
         free_dst = list(free_dst)
     for i, frag in enumerate(rest, 1):
-        claimed += len(frag.edges)
         rows = frag.rows
         masks = frag.masks
         # a lane's own claims on one node are disjoint, so every claim can be
         # checked before any of the lane's masks is cleared
         kept = [mask & free_src[src] & free_dst[dst] for (src, dst, _, _), mask in zip(rows, masks)]
-        if kept == masks:
-            final.extend(frag.edges)
-        else:
+        if kept != masks:
             frag.kept = kept
-            final.extend([e for e in frag.edges for o, src, dst in (e,)
-                          if (free_src[src] & free_dst[dst]) >> o & 1])
+            cancelled += sum(map(int.bit_count, masks)) - sum(map(int.bit_count, kept))
+        out_rows += rows
+        out_masks += kept
         if i < len(rest):  # the top lane's claims bind no later lane
             for (src, dst, _, _), mask in zip(rows, masks):
                 free_src[src] &= ~mask
                 free_dst[dst] &= ~mask
 
-    return ReconcileResult(AdmittedBatch(base, width, tuple(final)), claimed - len(final))
+    return ReconcileResult(AdmittedBatch.from_claims(base, width, out_rows, out_masks), cancelled)
 
 
 class Lane:
@@ -133,13 +134,12 @@ class Lane:
         """Greedy batch-style pass over the pending set in LRU order."""
         ordered = lru_order(self.pending, base_slot)
         bitmaps = BatchBitmaps(self.cfg.num_nodes, self.cfg.batch_size)
-        edges: List[Edge] = []
-        masks = allocate_slots(bitmaps, ordered, edges)
+        masks = allocate_slots(bitmaps, ordered)
         self.drained += len(ordered)
         self.pending = [demand for demand, mask in zip(ordered, masks) if not mask]
         self.last_admission = LaneAdmission(
-            self.lane_id, base_slot, self.cfg.batch_size, edges,
-            list(compress(ordered, masks)), [mask for mask in masks if mask], bitmaps)
+            self.lane_id, base_slot, self.cfg.batch_size,
+            list(compress(ordered, masks)), list(filter(None, masks)), bitmaps)
         return self.last_admission
 
     @property
@@ -158,7 +158,7 @@ class Lane:
         self.pending += settle(frag.rows, kept, base_slot)
         granted = sum(map(int.bit_count, kept))
         self.allocated_slots += granted
-        self.cancelled_slots += len(frag.edges) - granted
+        self.cancelled_slots += sum(map(int.bit_count, frag.masks)) - granted
         self.last_admission = None
 
     def pending_slots(self) -> int:
@@ -191,7 +191,7 @@ class ParallelRound:
         result = reconcile([lane.allocate(base) for lane in self.lanes])
         for lane in self.lanes:
             lane.absorb(base)
-        self.allocated_slots += len(result.final.edges)
+        self.allocated_slots += len(result.final)
         self.next_base += self.batch
         return [result.final]
 

@@ -61,7 +61,7 @@ class PipelineRing:
                 kernel.ingest(feed)
                 result = kernel.sweep()
                 self.position_drained[pos] += result.drained
-                self.allocated_slots += len(result.edges)
+                self.allocated_slots += result.allocated
                 feed = result.outflow
                 worked = True
         self.waiting.extend(feed)

@@ -8,8 +8,8 @@ set gets one bin from every shard.  A set checks each bin's round, index and
 target before it claims slots for its K bins against one shared set of fresh
 bitmaps, one ``kernel.allocate_slots`` pass per bin whose per-entry masks are
 the result bits (``alloc_process``); it splits spent from remaining entries
-and emits the claimed edges as one batch (``postalloc_process``), and the
-inverse distributor carries every bin back to its origin shard.
+and emits the claims, served entries and masks, as one batch
+(``postalloc_process``), and the inverse distributor carries every bin home.
 
 ``ShuffleEngine`` is the only copy of a round, behind the engine contract
 of ``engine.py``: ``admit`` routes demands to their shards and ``emit`` runs
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .conduits import Mailbox
@@ -31,9 +32,6 @@ from .kernel import allocate_slots, lru_order, settle
 from .model import AdmittedBatch, Architecture, BatchBitmaps, Config, Demand, DemandRow, RunResult
 from .permutation import PermutationSpec
 from .workload import Arrival, shard_range
-
-Edge = Tuple[int, int, int]
-
 
 @dataclass
 class Bin:
@@ -46,14 +44,12 @@ class Bin:
     sent_ns: int = 0  # monotonic stamp of the origin shard's send of the round's bins
     entries: List[DemandRow] = field(default_factory=list)
     result_bits: List[int] = field(default_factory=list)
-    edges: List[Edge] = field(default_factory=list)  # the pass's claims, in entry order
     completed: List[Tuple[int, int, int]] = field(default_factory=list)  # (src, dst, last_alloc)
     remainders: List[DemandRow] = field(default_factory=list)
 
     def clear(self) -> None:
         self.entries = []
         self.result_bits = []
-        self.edges = []
         self.completed = []
         self.remainders = []
 
@@ -133,24 +129,25 @@ def alloc_process(bin_: Bin, bitmaps: BatchBitmaps) -> None:
 
     No sorting happens here; the backlog fill order is the priority order.
     The entries themselves are left untouched; the pass's masks become the
-    result bits and its edges are appended to ``bin_.edges``.
+    result bits.
     """
-    bin_.result_bits = allocate_slots(bitmaps, bin_.entries, bin_.edges)
+    bin_.result_bits = allocate_slots(bitmaps, bin_.entries)
 
 
-def postalloc_process(bin_: Bin, base_slot: int) -> List[Edge]:
-    """Settle the bin's entries and return the edges ``alloc_process`` claimed.
+def postalloc_process(bin_: Bin, base_slot: int) -> Tuple[List[DemandRow], List[int]]:
+    """Settle the bin's entries and return the claims ``alloc_process`` made:
+    the served entries, in bin order, and their masks.
 
     Spent entries become completions and the rest remainder rows (see
     ``kernel.settle``), stored on the bin for the trip home.
     """
+    entries, bits = bin_.entries, bin_.result_bits
     completed: List[Tuple[int, int, int]] = []
-    remainders = settle(bin_.entries, bin_.result_bits, base_slot, completed)
-    edges = bin_.edges
+    remainders = settle(entries, bits, base_slot, completed)
     bin_.clear()
     bin_.completed = completed
     bin_.remainders = remainders
-    return edges
+    return list(compress(entries, bits)), list(filter(None, bits))
 
 
 class ShuffleEngine:
@@ -231,7 +228,8 @@ class ShuffleEngine:
         for y in range(num_sets):
             base = self.base_for(y, r)
             bitmaps = BatchBitmaps(cfg.num_nodes, cfg.batch_size)
-            edges: List[Edge] = []
+            rows: List[DemandRow] = []
+            masks: List[int] = []
             for k in range(num_sets):
                 bin_ = self.dist[perm.invert((y - k) % num_sets, r)][y].try_take()
                 # the cell was picked with invert(); check the bin with permute()
@@ -248,10 +246,12 @@ class ShuffleEngine:
                         f"inverse distributor gave alloc set {y} of round {r} {got} as bin {k}"
                     )
                 alloc_process(bin_, bitmaps)
-                edges += postalloc_process(bin_, base)
+                served, claimed = postalloc_process(bin_, base)
+                rows += served
+                masks += claimed
                 self.inv[y][bin_.origin].try_put(bin_)
-            batches.append(AdmittedBatch(base, cfg.batch_size, tuple(edges)))
-            self.allocated_slots += len(edges)
+            batches.append(AdmittedBatch.from_claims(base, cfg.batch_size, rows, masks))
+            self.allocated_slots += len(batches[-1])
 
         for shard in self.shards:
             x = shard.shard_id

@@ -65,7 +65,7 @@ class VerifyingSink:
 
     def __init__(self) -> None:
         self.batches = 0
-        self.edges = 0
+        self.slots = 0
         self.violations = 0
         self.first_violation = None
         self.next_free_slot = 0  # first slot after the previous batch
@@ -73,7 +73,7 @@ class VerifyingSink:
 
     def __call__(self, batch: AdmittedBatch) -> None:
         self.batches += 1
-        self.edges += len(batch.edges)
+        self.slots += len(batch)
         violation = verify_admitted(batch)
         if violation is not None:
             self.violations += 1

@@ -123,6 +123,13 @@ class TestVerify:
         admitted.write_text("slot,src,dst\n1,1,3\n1,4,3\n")
         assert main(["verify", "--admitted", str(admitted)]) == 1
 
+    def test_far_apart_slots_checked_per_slot(self, tmp_path, capsys):
+        # the same source in slots 64 apart is fine; its reuse in slot 1000064 is not
+        admitted = tmp_path / "adm.csv"
+        admitted.write_text("slot,src,dst\n5,1,3\n69,1,3\n-3,1,3\n1000064,1,2\n1000064,1,4\n")
+        assert main(["verify", "--admitted", str(admitted)]) == 1
+        assert "node 1 used twice as src in slot 1000064" in capsys.readouterr().out
+
     def test_overallocation_against_trace(self, tmp_path):
         trace = tmp_path / "trace.csv"
         write_four_node_trace(trace)

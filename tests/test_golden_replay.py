@@ -7,6 +7,9 @@ cancelled slots against values recorded before the drivers were merged into
 ``slotarbiter.engine``.  A change that means to alter replay output updates
 the table: ``python tests/test_golden_replay.py`` prints the current rows.
 
+``ORDERED_GOLDEN`` pins the order of each batch's edges as well, which the
+sorted digest above does not.
+
 ``SCHEDULE_CASES`` drive a ``PipelineRing`` by a fixed schedule that replay
 never takes: several admits, one of them empty, before each emit.
 """
@@ -134,6 +137,34 @@ GOLDEN = {
 }
 
 
+def ordered_digest(batches) -> str:
+    """Digest of every batch's base slot and its edges in the order given."""
+    return hashlib.sha256(repr([(b.base_slot, b.edges) for b in batches]).encode()).hexdigest()[:16]
+
+
+#: case id of ``CASES`` -> ``ordered_digest`` of its batches
+ORDERED_GOLDEN = {
+    "pipe-1": "01d776d1fbd23846",
+    "pipe-2": "5453f329adef173f",
+    "pipe-3-mid": "4635f63c655ce498",
+    "pipe-2-b4": "ce85e8a93833c144",
+    "pipe-2-cut": "3f87428e23ecf1bf",
+    "slot-1": "00ec1ad7e0cc3de9",
+    "slot-2": "e4c5d5014febf132",
+    "slot-4": "684699f55758b638",
+    "slot-3-sparse": "4936fc676f974e0a",
+    "pipe-2-sparse": "aff516eb43860e8e",
+    "par-2": "181b6d47d393d306",
+    "par-2-b16": "d2cc552d16780403",
+    "par-2-cut": "646ec39355578f52",
+    "par-4": "9dbe8758e08675fd",
+    "par-4-sparse": "c0d9dff2cdc4a0bf",
+    "shuf-2": "60ed5a268cfcf7be",
+    "shuf-2-cut": "16eab2ee311d3504",
+    "shuf-3-sparse": "fe53532199a1b0d3",
+}
+
+
 def replay_case(trace_name: str, kwargs: dict, steps: int):
     nodes = TRACES[trace_name][2]
     cfg = Config(num_nodes=nodes, **kwargs)
@@ -151,6 +182,12 @@ def test_replay_matches_golden_row(case, trace_name, kwargs, steps):
     res = replay_case(trace_name, kwargs, steps)
     assert row(res) == GOLDEN[case]
     assert res.metrics.conservation_ok()
+
+
+@pytest.mark.parametrize("case", sorted(ORDERED_GOLDEN))
+def test_replay_edge_order_matches_golden(case):
+    _, trace_name, kwargs, steps = next(c for c in CASES if c[0] == case)
+    assert ordered_digest(replay_case(trace_name, kwargs, steps).batches) == ORDERED_GOLDEN[case]
 
 
 #: (case id, trace, config keywords, steps)
@@ -222,6 +259,10 @@ if __name__ == "__main__":
     for case, trace_name, kwargs, steps in CASES:
         digest_, *counts = row(replay_case(trace_name, kwargs, steps))
         print(f'    "{case}": ("{digest_}", {", ".join(map(str, counts))}),')
+    print()
+    for case, trace_name, kwargs, steps in CASES:
+        if case in ORDERED_GOLDEN:
+            print(f'    "{case}": "{ordered_digest(replay_case(trace_name, kwargs, steps).batches)}",')
     print()
     for case, trace_name, kwargs, steps in SCHEDULE_CASES:
         digest_, *counts = schedule_case(trace_name, kwargs, steps)[0]

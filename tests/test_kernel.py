@@ -20,7 +20,7 @@ from slotarbiter import (
     oracle_allocate,
 )
 from slotarbiter.kernel import _LOWEST, _OFFSETS, allocate_slots, settle
-from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
+from slotarbiter.model import VALID_BATCH_SIZES, AdmittedBatch, BatchBitmaps
 
 from conftest import claim, first_free_slot
 
@@ -121,10 +121,10 @@ class TestSortIntoBins:
         kernel = GreedyKernel(8, 8)
         kernel.reset(base_slot)
         kernel.ingest(demands)
-        result = kernel.sweep()
-        kernel.finish()
+        kernel.sweep()
+        batch, _ = kernel.finish()
         # disjoint pairs never contend, so the edges list the pairs in drain order
-        return list(dict.fromkeys((s, d) for _, s, d in result.edges))
+        return list(dict.fromkeys((s, d) for _, s, d in batch.edges))
 
     def test_gap_order(self):
         recent = Demand(3, 4, 5, last_alloc=40)
@@ -223,8 +223,8 @@ class TestAllocateSlots:
         batch_size, src_rows, dst_rows, demands = drawn
         bitmaps = BatchBitmaps(len(src_rows), batch_size)
         bitmaps.src, bitmaps.dst = list(src_rows), list(dst_rows)
-        edges = []
-        masks = allocate_slots(bitmaps, demands, edges)
+        masks = allocate_slots(bitmaps, demands)
+        edges = list(AdmittedBatch.from_claims(0, batch_size, demands, masks).edges)
 
         assert (masks, edges) == _reference_pass(src_rows, dst_rows, demands)
         claimed_src = [0] * len(src_rows)
@@ -244,9 +244,9 @@ class TestAllocateSlots:
     def test_takes_lowest_joint_offsets_and_skips_blocked(self):
         bitmaps = BatchBitmaps(4, 8)
         bitmaps.dst[2] = 0b1011_0110
-        edges = []
-        masks = allocate_slots(
-            bitmaps, [Demand(0, 2, 3), Demand(1, 2, 5), Demand(3, 1, 2)], edges)
+        demands = [Demand(0, 2, 3), Demand(1, 2, 5), Demand(3, 1, 2)]
+        masks = allocate_slots(bitmaps, demands)
+        edges = list(AdmittedBatch.from_claims(0, 8, demands, masks).edges)
         assert masks == [0b0001_0110, 0b1010_0000, 0b0000_0011]
         assert edges == [(1, 0, 2), (2, 0, 2), (4, 0, 2), (5, 1, 2), (7, 1, 2),
                          (0, 3, 1), (1, 3, 1)]
@@ -302,17 +302,23 @@ def _sweep(demands, batch_size, mode, base_slot=1, num_nodes=16):
     return kernel.sweep(), kernel
 
 
+def _claimed_edges(kernel, start=0):
+    """The edges of the kernel's claims from claim ``start`` on, in claim order."""
+    return list(AdmittedBatch.from_claims(
+        kernel.base_slot, kernel.batch_size, kernel.rows[start:], kernel.masks[start:]).edges)
+
+
 class TestAllocateBatch:
     def test_four_node_single_slot_matching(self, four_node_demands):
-        result, _ = _sweep(four_node_demands, 1, AllocationMode.BATCH, num_nodes=5)
-        admitted = {(s, d) for _, s, d in result.edges}
+        result, kernel = _sweep(four_node_demands, 1, AllocationMode.BATCH, num_nodes=5)
+        admitted = {(s, d) for _, s, d in _claimed_edges(kernel)}
         assert admitted == {(1, 3), (4, 2), (2, 1), (3, 4)}
         assert [(d.src, d.dst) for d in result.outflow] == [(2, 3)]
 
     def test_batch_mode_worked_example_first_core(self):
         demands = [Demand(1, 2, 100), Demand(3, 2, 2)]
-        result, _ = _sweep(demands, 8, AllocationMode.BATCH)
-        assert [(o, s, d) for o, s, d in result.edges] == [
+        result, kernel = _sweep(demands, 8, AllocationMode.BATCH)
+        assert [(o, s, d) for o, s, d in _claimed_edges(kernel)] == [
             (o, 1, 2) for o in range(8)
         ]
         assert result.outflow[0] == Demand(1, 2, 92, last_alloc=8)
@@ -321,20 +327,21 @@ class TestAllocateBatch:
     def test_batch_mode_worked_example_second_core(self):
         # LRU puts the untouched pair first at the next context
         demands = [Demand(1, 2, 92, last_alloc=8), Demand(3, 2, 2, last_alloc=0)]
-        result, _ = _sweep(demands, 8, AllocationMode.BATCH, base_slot=9)
-        slots = sorted((9 + o, s, d) for o, s, d in result.edges)
+        result, kernel = _sweep(demands, 8, AllocationMode.BATCH, base_slot=9)
+        slots = sorted((9 + o, s, d) for o, s, d in _claimed_edges(kernel))
         assert slots[:2] == [(9, 3, 2), (10, 3, 2)]
         assert slots[2:] == [(s, 1, 2) for s in range(11, 17)]
         assert result.outflow == [Demand(1, 2, 86, last_alloc=16)]
 
     def test_empty_bins(self):
-        result, _ = _sweep([], 8, AllocationMode.BATCH)
-        assert result.edges == [] and result.outflow == []
+        result, kernel = _sweep([], 8, AllocationMode.BATCH)
+        assert _claimed_edges(kernel) == [] and result.outflow == []
+        assert result.allocated == 0
 
     def test_per_slot_parks_in_extra_bin(self):
         result, kernel = _sweep([Demand(1, 2, 100)], 8, AllocationMode.PER_SLOT)
         # one slot per drain, then hops through the extra bins
-        assert len(result.edges) == 8
+        assert len(_claimed_edges(kernel)) == 8 == result.allocated
         assert result.outflow == []
         assert kernel.pending_slots() == 92
         _, leftovers = kernel.finish()
@@ -343,8 +350,8 @@ class TestAllocateBatch:
 
     def test_per_slot_unallocatable_flows_out(self):
         demands = [Demand(1, 2, 1), Demand(3, 2, 1)]
-        result, _ = _sweep(demands, 1, AllocationMode.PER_SLOT)
-        assert len(result.edges) == 1
+        result, kernel = _sweep(demands, 1, AllocationMode.PER_SLOT)
+        assert len(_claimed_edges(kernel)) == 1 == result.allocated
         assert result.outflow == [Demand(3, 2, 1)]
 
 
@@ -420,9 +427,11 @@ class TestPerSlotMultiSweep:
             feed = requeue + fresh
             kernel.ingest(feed)
             reference.pending.extend(feed)
+            start = len(kernel.masks)
             result = kernel.sweep()
             edges, outflow, drained = reference.sweep()
-            assert result.edges == edges
+            assert _claimed_edges(kernel, start) == edges
+            assert result.allocated == len(edges)
             assert len(result.outflow) == len(outflow)
             assert all(got is want for got, want in zip(result.outflow, outflow))
             assert result.drained == drained
@@ -481,10 +490,10 @@ class TestMaximality:
                 if src == dst:
                     continue
                 demands.append(Demand(src, dst, int(rng.integers(1, 10))))
-            result, _ = _sweep(demands, 8, AllocationMode.BATCH, num_nodes=8)
+            result, kernel = _sweep(demands, 8, AllocationMode.BATCH, num_nodes=8)
             used_src = {}
             used_dst = {}
-            for o, s, d in result.edges:
+            for o, s, d in _claimed_edges(kernel):
                 used_src.setdefault(o, set()).add(s)
                 used_dst.setdefault(o, set()).add(d)
             for src, dst, _, _ in result.outflow:
@@ -507,8 +516,8 @@ class TestKernelFairness:
             ordered = sorted(pending, key=lambda row: bin_index(row[3], base))
             kernel.ingest(ordered)
             result = kernel.sweep()
-            kernel.finish()
-            for o, s, _ in result.edges:
+            batch, _ = kernel.finish()
+            for o, s, _ in batch.edges:
                 got[s].append(base + o)
             survivors = {src: (src, dst, left, last) for src, dst, left, last in result.outflow}
             pending = [survivors[1], survivors[2]]

@@ -1,6 +1,8 @@
 """Domain model: timeslot arithmetic, config validation, bitmaps."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from slotarbiter import (
     AdmittedBatch,
@@ -12,6 +14,8 @@ from slotarbiter import (
     throughput_bps,
     timeslot_duration,
 )
+
+from slotarbiter.model import VALID_BATCH_SIZES
 
 from conftest import claim
 
@@ -114,10 +118,49 @@ class TestBatchBitmaps:
         assert not (bm.src[3] & 1) and not (bm.dst[1] & 1)
 
 
+@st.composite
+def _claims(draw):
+    """A base slot, a batch width, and claims of rows over a few nodes (4-field
+    demand rows and 3-field parked entries) with masks within the width, so
+    wide batches get masks spanning several byte lanes."""
+    batch_size = draw(st.sampled_from(VALID_BATCH_SIZES))
+    full = (1 << batch_size) - 1
+    node = st.integers(0, 5)
+    row = st.one_of(st.tuples(node, node, st.integers(1, 9), st.integers(0, 50)),
+                    st.tuples(node, node, st.integers(1, 9)))
+    claims = draw(st.lists(st.tuples(row, st.one_of(st.integers(0, full), st.just(full))),
+                           max_size=12))
+    return draw(st.integers(1, 500)), batch_size, [r for r, _ in claims], [m for _, m in claims]
+
+
 class TestAdmittedBatch:
     def test_absolute_edges(self):
         batch = AdmittedBatch(9, 8, ((0, 1, 2), (7, 3, 4)))
         assert list(batch.absolute_edges()) == [(9, 1, 2), (16, 3, 4)]
+
+    @example(drawn=(1, 64, [(0, 1, 5, 0), (2, 1, 3), (3, 4, 9, 7)],
+                    [0x8000_0000_0000_0001, 0xFF00_00FF_0F0F_F0F0, 0x0100]))
+    @example(drawn=(17, 16, [(1, 2, 9, 0), (2, 1, 4)], [0xFFFF, 0x8080]))
+    @given(_claims())
+    def test_claims_and_edges_agree(self, drawn):
+        base, batch_size, rows, masks = drawn
+        expected = tuple((o, row[0], row[1]) for row, mask in zip(rows, masks)
+                         for o in range(batch_size) if mask >> o & 1)
+        claims = AdmittedBatch.from_claims(base, batch_size, rows, masks)
+        edges = AdmittedBatch(base, batch_size, expected)
+        assert claims.edges == expected and claims.edges is claims.edges
+        assert edges.edges is expected
+        assert claims == edges and edges == claims
+        assert len(claims) == len(edges) == len(expected)
+        assert list(claims.absolute_edges()) == list(edges.absolute_edges()) == [
+            (base + o, src, dst) for o, src, dst in expected]
+
+    def test_equality_needs_same_slots(self):
+        batch = AdmittedBatch.from_claims(9, 8, [(1, 2, 3, 0)], [0b101])
+        assert batch == AdmittedBatch(9, 8, ((0, 1, 2), (2, 1, 2)))
+        assert batch != AdmittedBatch(1, 8, ((0, 1, 2), (2, 1, 2)))
+        assert batch != AdmittedBatch(9, 8, ((2, 1, 2), (0, 1, 2)))
+        assert batch != AdmittedBatch.from_claims(9, 8, [(1, 2, 3, 0)], [0b110])
 
 
 class TestMetrics:

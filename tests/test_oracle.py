@@ -1,9 +1,15 @@
 """Reference allocator and verifiers, checked against brute force."""
 
+import os
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import slotarbiter
 from slotarbiter import (
     AdmittedBatch,
     AllocationMode,
@@ -13,6 +19,8 @@ from slotarbiter import (
     verify_admitted,
     verify_maximal,
 )
+from slotarbiter.model import VALID_BATCH_SIZES
+from slotarbiter.oracle import CapacityViolation
 
 from conftest import FOUR_NODE_ADMITTED
 
@@ -114,6 +122,88 @@ class TestVerifyAdmitted:
 
     def test_empty_batch_ok(self):
         assert verify_admitted(AdmittedBatch(1, 8, ())) is None
+
+
+def per_edge_verify(batch):
+    """The per-edge check: the first edge, in edge order, whose (slot, src)
+    or (slot, dst) an earlier edge holds; the source role is checked first."""
+    seen_src, seen_dst = set(), set()
+    for offset, src, dst in batch.edges:
+        slot = batch.base_slot + offset
+        if (offset, src) in seen_src:
+            return CapacityViolation(slot, src, "src")
+        if (offset, dst) in seen_dst:
+            return CapacityViolation(slot, dst, "dst")
+        seen_src.add((offset, src))
+        seen_dst.add((offset, dst))
+    return None
+
+
+@st.composite
+def _claims_with_clashes(draw):
+    """Valid claims over a few nodes, then up to three injected claims that
+    reuse a source, a destination or both of a drawn claim at its offsets."""
+    batch_size = draw(st.sampled_from(VALID_BATCH_SIZES))
+    full = (1 << batch_size) - 1
+    node = st.integers(0, 5)
+    held_src, held_dst = {}, {}
+    rows, masks = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        src, dst = draw(node), draw(node)
+        mask = draw(st.integers(0, full)) & ~(held_src.get(src, 0) | held_dst.get(dst, 0))
+        held_src[src] = held_src.get(src, 0) | mask
+        held_dst[dst] = held_dst.get(dst, 0) | mask
+        rows.append((src, dst, 9, 0))
+        masks.append(mask)
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        role = draw(st.sampled_from(["src", "dst", "both"]))
+        src = rows[i][0] if role != "dst" else draw(node)
+        dst = rows[i][1] if role != "src" else draw(node)
+        mask = (masks[i] | draw(st.integers(0, full))) & draw(st.integers(0, full))
+        at = draw(st.integers(0, len(rows)))
+        rows.insert(at, (src, dst, 9))
+        masks.insert(at, mask)
+    return draw(st.integers(1, 500)), batch_size, rows, masks
+
+
+class TestVerifyClaims:
+    """The claim check against the per-edge check."""
+
+    @example(drawn=(9, 8, [(1, 2, 3, 0), (3, 2, 3, 0)], [0b0110, 0b1100]))
+    @example(drawn=(9, 8, [(1, 2, 3, 0), (1, 4, 3, 0)], [0b0110, 0b1100]))
+    @example(drawn=(1, 64, [(1, 2, 3, 0), (2, 1, 3), (1, 1, 3)], [1 << 63 | 1 << 9, 1 << 40, 1 << 9 | 1 << 40]))
+    @given(_claims_with_clashes())
+    def test_first_violation_equals_per_edge_check(self, drawn):
+        base, batch_size, rows, masks = drawn
+        claims = AdmittedBatch.from_claims(base, batch_size, rows, masks)
+        expected = per_edge_verify(claims)
+        assert verify_admitted(claims) == expected
+        # the same edges, one claim per edge
+        assert verify_admitted(AdmittedBatch(base, batch_size, claims.edges)) == expected
+
+    def test_duplicated_edge_caught(self):
+        batch = AdmittedBatch.from_claims(9, 8, [(1, 2, 3, 0)], [0b1010])
+        doubled = AdmittedBatch(9, 8, batch.edges + batch.edges[:1])
+        assert verify_admitted(batch) is None
+        assert verify_admitted(doubled) == CapacityViolation(10, 1, "src")
+
+    def test_clash_flagged_under_optimize_flag(self):
+        script = (
+            "from slotarbiter import AdmittedBatch, VerifyingSink, verify_admitted\n"
+            "batch = AdmittedBatch.from_claims(9, 8, [(1, 2, 3, 0), (1, 4, 2, 0)], [0b0110, 0b1100])\n"
+            "sink = VerifyingSink()\n"
+            "sink(batch)\n"
+            "print(verify_admitted(batch), '|', sink.violations, sink.first_violation, sink.slots)\n"
+        )
+        src_dir = os.path.dirname(os.path.dirname(slotarbiter.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        clash = "node 1 used twice as src in slot 11"
+        assert proc.stdout.strip() == f"{clash} | 1 {clash} 4", proc.stdout
 
 
 class TestVerifyMaximal:

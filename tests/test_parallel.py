@@ -17,7 +17,7 @@ from slotarbiter import (
     verify_admitted,
 )
 from slotarbiter.kernel import allocate_slots
-from slotarbiter.model import VALID_BATCH_SIZES, BatchBitmaps
+from slotarbiter.model import VALID_BATCH_SIZES, AdmittedBatch, BatchBitmaps
 from slotarbiter.parallel import Lane, LaneAdmission
 from slotarbiter.workload import Arrival, WorkloadSpec
 
@@ -45,7 +45,7 @@ def fragment(lane_id, edges, base=1, batch=8, num_nodes=16):
         bitmaps.dst[dst] &= ~(1 << o)
     rows = [(src, dst, 1, 0) for _, src, dst in edges]
     masks = [1 << o for o, _, _ in edges]
-    return LaneAdmission(lane_id, base, batch, edges, rows, masks, bitmaps)
+    return LaneAdmission(lane_id, base, batch, rows, masks, bitmaps)
 
 
 def offsets_of(mask):
@@ -181,9 +181,9 @@ def _lane_passes(draw):
     lanes = []
     for lane_id in range(draw(st.integers(1, 4))):
         demands = draw(st.lists(demand, max_size=10))
-        edges = []
         bitmaps = BatchBitmaps(num_nodes, width)
-        masks = allocate_slots(bitmaps, demands, edges)
+        masks = allocate_slots(bitmaps, demands)
+        edges = AdmittedBatch.from_claims(base, width, demands, masks).edges
         claims, rows, served, start = [], [], [], 0
         for d, mask in zip(demands, masks):
             if not mask:
@@ -193,7 +193,7 @@ def _lane_passes(draw):
             start += granted
             rows.append(d)
             served.append(mask)
-        lanes.append((LaneAdmission(lane_id, base, width, edges, rows, served, bitmaps), claims))
+        lanes.append((LaneAdmission(lane_id, base, width, rows, served, bitmaps), claims))
     return base, lanes
 
 
@@ -238,9 +238,7 @@ def claim(base, row, mask, kept=None):
     bitmaps = BatchBitmaps(8, 8)
     bitmaps.src[src] ^= mask
     bitmaps.dst[dst] ^= mask
-    edges = [(o, src, dst) for o in offsets_of(mask)]
-    return LaneAdmission(1, base, 8, edges, [row], [mask], bitmaps,
-                         None if kept is None else [kept])
+    return LaneAdmission(1, base, 8, [row], [mask], bitmaps, None if kept is None else [kept])
 
 
 class TestLaneAbsorb:
@@ -292,7 +290,7 @@ class TestLaneFragment:
             full.src[src] ^= mask
             full.dst[dst] ^= mask
         assert frag.bitmaps.src == full.src and frag.bitmaps.dst == full.dst
-        assert frag.edges == [(o, src, dst) for (src, dst, _, _), mask in zip(frag.rows, frag.masks)
+        assert list(frag.edges) == [(o, src, dst) for (src, dst, _, _), mask in zip(frag.rows, frag.masks)
                               for o in offsets_of(mask)]
         assert lane.last_records == frag.rows
 

@@ -23,7 +23,7 @@ from slotarbiter import (
     verify_admitted,
 )
 from slotarbiter.conduits import Mailbox
-from slotarbiter.model import BatchBitmaps
+from slotarbiter.model import AdmittedBatch, BatchBitmaps
 from slotarbiter.permutation import PermutationSpec
 from slotarbiter.shuffle import (
     BacklogShard,
@@ -163,11 +163,12 @@ class TestPostallocProcess:
         bin_.entries = [Demand(0, 1, 2)]
         alloc_process(bin_, BatchBitmaps(4, 8))
         assert bin_.result_bits == [0b11]
-        edges = postalloc_process(bin_, base_slot=9)
-        assert edges == [(0, 0, 1), (1, 0, 1)]
+        rows, masks = postalloc_process(bin_, base_slot=9)
+        assert (rows, masks) == ([Demand(0, 1, 2)], [0b11])
+        assert AdmittedBatch.from_claims(9, 8, rows, masks).edges == ((0, 0, 1), (1, 0, 1))
         assert bin_.completed == [(0, 1, 10)]
         assert bin_.remainders == []
-        assert bin_.edges == [] and bin_.entries == []
+        assert bin_.result_bits == [] and bin_.entries == []
 
     def test_partial_entry_becomes_remainder(self):
         bin_ = Bin(origin=0)
@@ -181,8 +182,7 @@ class TestPostallocProcess:
         bin_ = Bin(origin=0)
         bin_.entries = [entry]
         bin_.result_bits = [0]
-        edges = postalloc_process(bin_, base_slot=9)
-        assert edges == []
+        assert postalloc_process(bin_, base_slot=9) == ([], [])
         assert bin_.remainders == [entry]
 
 

@@ -135,6 +135,39 @@ class TestVerifyingSink:
         assert self._out_of_order([9, 9, 1]) == 2
 
 
+#: bench-shaped replay configs: id -> config keywords
+CLAIM_CONFIGS = {
+    "pipelined": {"cores": 1},
+    "pipelined-per-slot": {"cores": 2, "mode": AllocationMode.PER_SLOT},
+    "parallel-2": {"architecture": Architecture.PARALLEL, "lanes": 2},
+    "parallel-4": {"architecture": Architecture.PARALLEL, "lanes": 4, "batch_size": 16},
+    "shuffle-2": {"architecture": Architecture.SHUFFLE, "sets": 2},
+}
+
+
+class TestClaimsOnly:
+    """Replay and the verifying sink work on claims: neither expands a batch
+    into per-slot edges."""
+
+    @pytest.mark.parametrize("name", list(CLAIM_CONFIGS))
+    def test_replay_and_sink_read_no_edges(self, name, monkeypatch):
+        cfg = Config(num_nodes=16, **CLAIM_CONFIGS[name])
+        trace = make_trace(5, 150, 16, mean_interarrival_ns=300.0)
+        plain = run_deterministic(cfg, trace)
+
+        def expanded(batch):
+            raise AssertionError("a batch was expanded into edges")
+
+        monkeypatch.setattr(AdmittedBatch, "edges", property(expanded))
+        sink = VerifyingSink()
+        res = run_deterministic(cfg, trace, sink=sink)
+        monkeypatch.undo()
+        assert sink.violations == 0 and sink.out_of_order == 0
+        assert sink.slots == res.metrics.allocated_slots == plain.metrics.allocated_slots
+        assert res.metrics.demanded_slots == plain.metrics.allocated_slots
+        assert sink.batches == len(plain.batches)
+
+
 #: architecture -> (lane config, the stage patched to raise in a lane)
 MACHINES = {
     Architecture.PIPELINED: ({"cores": 2}, (kernel.GreedyKernel, "sweep")),
