@@ -72,12 +72,10 @@ def replay(
     out = batches.append if sink is None else sink
     cursor = ArrivalCursor(arrivals, cfg.num_nodes)
     slot_ns = cfg.slot_ns
-    demanded = 0
     for _ in range(max_steps):
         fresh = cursor.release((engine.next_base - 1) * slot_ns)
-        demanded += sum(d[2] for d in fresh)
         # nothing is ever dropped, so live work is exactly the running gap
-        if demanded == engine.allocated_slots and cursor.exhausted:
+        if cursor.exhausted and cursor.released_slots == engine.allocated_slots:
             break
         engine.admit(fresh)
         for batch in engine.emit():
@@ -85,7 +83,8 @@ def replay(
     for batch in engine.close():
         out(batch)
     metrics = Metrics(
-        demanded, engine.allocated_slots, engine.pending_slots(), engine.cancelled_slots
+        cursor.released_slots, engine.allocated_slots, engine.pending_slots(),
+        engine.cancelled_slots,
     )
     metrics.lane_counters = engine.counters()
     return RunResult(metrics, batches)

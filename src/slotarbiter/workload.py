@@ -3,16 +3,25 @@
 The stress workload has Poisson arrivals, source and destination drawn
 uniformly (src != dst) and a clamped-Gaussian request size.  Sampling is done
 in numpy blocks so a stream can keep up with paced runs, and the whole stream
-is reproducible from its seed.  Traces round-trip through a small CSV format
-with the header ``arrival_ns,src,dst,size_packets``.
+is reproducible from its seed.
+
+Traces round-trip through a small CSV format: the header
+``arrival_ns,src,dst,size_packets``, then one row of four int fields per
+arrival, every line ended by ``\r\n`` as ``csv.writer`` ends it.  A file that
+is exactly what ``record_trace`` writes (canonical) is loaded a column at a
+time.  Any other file, such as one hand-edited or saved with LF line ends,
+goes through the row loop, which accepts what ``csv.reader`` and ``int()``
+accept and is the only source of the line-numbered ``TraceFormatError``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -20,6 +29,8 @@ import numpy as np
 from .model import NEVER_ALLOCATED, Demand, DemandRow
 
 TRACE_HEADER = ["arrival_ns", "src", "dst", "size_packets"]
+
+_HEADER_LINE = ",".join(TRACE_HEADER) + "\r\n"
 
 _BLOCK = 4096
 
@@ -90,13 +101,12 @@ class WorkloadStream:
         times = self._clock_ns + np.cumsum(deltas)
         self._clock_ns = float(times[-1])
         # astype truncates toward zero, like int()
-        self._buffer = list(map(
-            Arrival,
+        self._buffer = _arrivals(
             times.astype(np.int64).tolist(),
             srcs.tolist(),
             dsts.tolist(),
             sizes.astype(np.int64).tolist(),
-        ))
+        )
         self._pos = 0
 
     def next_arrival(self) -> Arrival:
@@ -122,6 +132,12 @@ class WorkloadStream:
         return taken
 
 
+def _arrivals(*columns: List[int]) -> List[Arrival]:
+    """One ``Arrival`` per row of four equal-length columns, built without a
+    Python frame per arrival."""
+    return list(map(tuple.__new__, repeat(Arrival), zip(*columns)))
+
+
 class ArrivalCursor:
     """Releases a trace's arrivals as ``(src, dst, size, 0)`` rows, by arrival time.
 
@@ -141,6 +157,7 @@ class ArrivalCursor:
             arrival = ordered[self._rows.index(bad)]
             raise ValueError(f"{arrival} names a node outside [0, {num_nodes})")
         self._times = [a.arrival_ns for a in ordered]
+        self._total = sum(map(itemgetter(2), self._rows))
         self._pos = 0
 
     def release(self, until_ns: int) -> List[DemandRow]:
@@ -152,6 +169,15 @@ class ArrivalCursor:
     @property
     def exhausted(self) -> bool:
         return self._pos >= len(self._rows)
+
+    @property
+    def released_slots(self) -> int:
+        """Total size of every arrival released so far.  Read in O(1) once
+        the cursor is exhausted, which is when ``engine.replay`` reads it;
+        before that it sums the released rows."""
+        if self.exhausted:
+            return self._total
+        return sum(map(itemgetter(2), self._rows[: self._pos]))
 
 
 def shard_range(num_nodes: int, shard: int, num_shards: int) -> Tuple[int, int]:
@@ -201,11 +227,16 @@ def mean_t_for_load(
     return 1e9 / demands_per_s
 
 
+def _render(arrivals: Sequence[Arrival]) -> str:
+    """The trace rows of ``arrivals``, byte for byte as ``csv.writer`` writes
+    int fields."""
+    return ("%d,%d,%d,%d\r\n" * len(arrivals)) % tuple(chain.from_iterable(arrivals))
+
+
 def record_trace(arrivals: Sequence[Arrival], path: str) -> None:
+    """Write ``arrivals`` as a trace CSV; every field must be an int."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        writer.writerows(arrivals)
+        fh.write(_HEADER_LINE + _render(arrivals))
 
 
 def replay_trace(path: str) -> List[Arrival]:
@@ -214,27 +245,62 @@ def replay_trace(path: str) -> List[Arrival]:
     Rows must name two distinct non-negative node ids and a size of at least
     one packet.  Whether the ids fit a node count is the caller's to check.
     """
-    arrivals: List[Arrival] = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
+        text = fh.read()
+    if text.startswith(_HEADER_LINE):
+        arrivals = _canonical_arrivals(text[len(_HEADER_LINE):])
+        if arrivals is not None:
             return arrivals
-        if [h.strip() for h in header] != TRACE_HEADER:
-            raise TraceFormatError(f"line 1: expected header {','.join(TRACE_HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
-            try:
-                arrival = Arrival(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
-            except ValueError as exc:
-                raise TraceFormatError(f"line {lineno}: {exc}") from exc
-            if not 0 <= arrival.src != arrival.dst >= 0 < arrival.size:
-                raise TraceFormatError(
-                    f"line {lineno}: need src != dst, both >= 0, and size_packets >= 1; "
-                    f"got src {arrival.src}, dst {arrival.dst}, size_packets {arrival.size}"
-                )
-            arrivals.append(arrival)
+    return _replay_rows(text)
+
+
+def _canonical_arrivals(body: str) -> Optional[List[Arrival]]:
+    """The arrivals of a valid body that ``_render`` would write, or None.
+
+    None sends the body to the row loop, the only place that names a bad
+    line.  ``loadtxt`` reads spaces, ``+`` and leading zeros, and some numpy
+    versions read ``1.0`` as an int; ``_render`` writes none of these, so a
+    body that re-renders to itself parses, row for row, as the row loop
+    parses it.
+    """
+    if not body or body[0] not in "-0123456789":  # loadtxt warns on a body without data
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != 4:
+        return None
+    src, dst, size = table[:, 1], table[:, 2], table[:, 3]
+    if src.min() < 0 or dst.min() < 0 or size.min() < 1 or (src == dst).any():
+        return None
+    arrivals = _arrivals(*(column.tolist() for column in table.T))
+    return arrivals if _render(arrivals) == body else None
+
+
+def _replay_rows(text: str) -> List[Arrival]:
+    """Parse a trace a row at a time, as ``csv.reader`` splits ``text``; the
+    source of every ``TraceFormatError``."""
+    arrivals: List[Arrival] = []
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return arrivals
+    if [h.strip() for h in header] != TRACE_HEADER:
+        raise TraceFormatError(f"line 1: expected header {','.join(TRACE_HEADER)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 4:
+            raise TraceFormatError(f"line {lineno}: expected 4 columns, got {len(row)}")
+        try:
+            arrival = Arrival(int(row[0]), int(row[1]), int(row[2]), int(row[3]))
+        except ValueError as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        if not 0 <= arrival.src != arrival.dst >= 0 < arrival.size:
+            raise TraceFormatError(
+                f"line {lineno}: need src != dst, both >= 0, and size_packets >= 1; "
+                f"got src {arrival.src}, dst {arrival.dst}, size_packets {arrival.size}"
+            )
+        arrivals.append(arrival)
     return arrivals

@@ -1,10 +1,13 @@
 """Workload generation statistics, the arrival cursor and trace round-trips."""
 
+import csv
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 from hypothesis import given
@@ -23,7 +26,7 @@ from slotarbiter import (
     replay_trace,
     run_deterministic,
 )
-from slotarbiter.workload import Arrival, ArrivalCursor, shard_spec
+from slotarbiter.workload import Arrival, ArrivalCursor, _replay_rows, shard_spec
 
 
 def spec(**kw):
@@ -102,10 +105,12 @@ class TestArrivalCursor:
         cursor = ArrivalCursor(arrivals, 8)
         released = []
         last = -1001
+        assert cursor.released_slots == 0
         for cut in sorted(cuts) + [7000]:
             batch = cursor.release(cut)
             # each release holds exactly the arrivals due in (last cut, cut]
             assert len(batch) == sum(last < a.arrival_ns <= cut for a in arrivals)
+            assert cursor.released_slots == sum(a.size for a in arrivals if a.arrival_ns <= cut)
             released.extend(batch)
             last = cut
         ordered = sorted(arrivals, key=lambda a: a.arrival_ns)
@@ -196,7 +201,137 @@ class TestMeanTForLoad:
             mean_t_for_load(0, 256, 10e9, 1500)
 
 
+#: Arrivals the row loop accepts: ties and negative times, wide sizes, node ids
+#: 0-4095 with src != dst.
+_TRACE_ARRIVAL = st.builds(
+    Arrival,
+    st.one_of(st.integers(-3, 3), st.integers(-2**62, 2**62)),
+    st.integers(0, 4095),
+    st.integers(0, 4094),
+    st.integers(1, 2**31),
+).map(lambda a: a._replace(dst=a.dst + (a.dst >= a.src)))
+
+
+def _edit_field(edit, at=None):
+    """Corruption that rewrites one field of the line: ``edit(value, fields)``."""
+    def corrupt(line, field):
+        fields = line[:-2].split(",")
+        k = field if at is None else at
+        fields[k] = edit(fields[k], fields)
+        return ",".join(fields) + "\r\n"
+    return corrupt
+
+
+#: One change each to a recorded trace line, given with its \r\n end:
+#: ``corruption(line, field)`` returns the text that replaces it.
+_CORRUPTIONS = [
+    lambda line, field: line + "\r\n",  # a blank line after it
+    lambda line, field: line[:-2] + "\n",  # LF end
+    lambda line, field: line[:-2] + "\r",  # a lone CR end
+    lambda line, field: line[:-2].replace(",", "\r", 1) + "\r\n",  # a lone CR inside
+    lambda line, field: line[:-2].rsplit(",", 1)[0] + "\r\n",  # 3 fields
+    lambda line, field: line[:-2] + ",7\r\n",  # 5 fields
+    _edit_field(lambda v, _: " " + v),
+    _edit_field(lambda v, _: "+" + v),
+    _edit_field(lambda v, _: "0" + v),
+    _edit_field(lambda v, _: "1_000"),
+    _edit_field(lambda v, _: v + "_0"),
+    _edit_field(lambda v, _: v + ".0"),
+    _edit_field(lambda v, _: "#" + v),
+    _edit_field(lambda v, _: '"' + v + '"'),
+    _edit_field(lambda v, fields: fields[1], at=2),  # self-loop
+    _edit_field(lambda v, _: "0", at=3),  # size 0
+    _edit_field(lambda v, _: "-1", at=1),  # negative src
+    _edit_field(lambda v, _: "-1", at=2),  # negative dst
+]
+
+
 class TestTraceRoundTrip:
+    def test_recorded_bytes_match_csv_writer(self, tmp_path):
+        arrivals = [Arrival(0, 1, 2, 3), Arrival(1500, 4095, 0, 2**31), Arrival(-7, 3, 9, 1)]
+        path = tmp_path / "trace.csv"
+        record_trace(arrivals, str(path))
+        expected = (b"arrival_ns,src,dst,size_packets\r\n0,1,2,3\r\n"
+                    b"1500,4095,0,2147483648\r\n-7,3,9,1\r\n")
+        assert path.read_bytes() == expected
+        reference = io.StringIO(newline="")
+        writer = csv.writer(reference)
+        writer.writerow(["arrival_ns", "src", "dst", "size_packets"])
+        writer.writerows(arrivals)
+        assert reference.getvalue().encode() == expected
+
+    @given(st.lists(_TRACE_ARRIVAL, max_size=40))
+    def test_round_trip_returns_the_recorded_arrivals(self, tmp_path_factory, arrivals):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        record_trace(arrivals, str(path))
+        replayed = replay_trace(str(path))
+        assert replayed == arrivals
+        assert all(type(a) is Arrival for a in replayed)
+
+    @given(st.lists(_TRACE_ARRIVAL, min_size=1, max_size=8), st.sampled_from(_CORRUPTIONS),
+           st.integers(0, 7), st.integers(0, 3))
+    def test_corrupted_trace_reads_as_the_row_loop_reads_it(
+        self, tmp_path_factory, arrivals, corruption, row, field
+    ):
+        path = tmp_path_factory.mktemp("trace") / "trace.csv"
+        record_trace(arrivals, str(path))
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        row = 1 + row % len(arrivals)
+        lines[row] = corruption(lines[row], field)
+        path.write_bytes("".join(lines).encode())
+        with open(path, newline="") as fh:
+            text = fh.read()
+        try:
+            expected = _replay_rows(text)
+        except TraceFormatError as exc:
+            with pytest.raises(TraceFormatError) as caught:
+                replay_trace(str(path))
+            assert str(caught.value) == str(exc)
+        else:
+            replayed = replay_trace(str(path))
+            assert replayed == expected
+            assert all(type(a) is Arrival for a in replayed)
+
+    def test_header_and_blank_lines_read_empty_without_warning(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_bytes(b"arrival_ns,src,dst,size_packets\r\n\r\n\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert replay_trace(str(path)) == []
+
+    def test_values_past_int64_round_trip(self, tmp_path):
+        arrivals = [Arrival(2**64, 1, 2, 3), Arrival(-2**63 - 1, 2, 1, 2**70)]
+        path = tmp_path / "trace.csv"
+        record_trace(arrivals, str(path))
+        assert replay_trace(str(path)) == arrivals
+
+    def test_canonical_bad_rows_raise_under_optimize_flag(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from slotarbiter import TraceFormatError, record_trace, replay_trace
+            from slotarbiter.workload import Arrival
+
+            for bad in (Arrival(5, 2, 2, 1), Arrival(5, 2, 3, 0), Arrival(5, -1, 3, 1)):
+                record_trace([Arrival(0, 1, 2, 3), bad], sys.argv[1])
+                try:
+                    replay_trace(sys.argv[1])
+                except TraceFormatError as exc:
+                    print(exc)
+            """
+        )
+        src_dir = os.path.dirname(os.path.dirname(slotarbiter.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script, str(tmp_path / "trace.csv")],
+            env=dict(os.environ, PYTHONPATH=src_dir), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            f"line 3: need src != dst, both >= 0, and size_packets >= 1; got {got}"
+            for got in ("src 2, dst 2, size_packets 1", "src 2, dst 3, size_packets 0",
+                        "src -1, dst 3, size_packets 1")
+        ], proc.stdout
+
     def test_lossless(self, tmp_path):
         arrivals = WorkloadStream(spec()).take(500)
         path = tmp_path / "trace.csv"
